@@ -8,7 +8,6 @@ conventional single-play weighted-score baseline it is measured against.
 
 from .domain import (
     ALL_NETWORKS,
-    Bsm,
     DisturbanceSpec,
     MeasurementMode,
     NetworkKind,
@@ -26,7 +25,6 @@ from .domain import (
 from .engine import (
     CycleRecord,
     WorldState,
-    apply_disturbance,
     init_state,
     predict_equilibrium_shift,
     run_cycle,
@@ -65,13 +63,13 @@ from .strategy import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ALL_NETWORKS", "Bsm", "ComparisonSummary", "CycleRecord", "Decision",
+    "ALL_NETWORKS", "ComparisonSummary", "CycleRecord", "Decision",
     "DisturbanceSpec", "LinkSample", "MeasurementMode", "NetEvaluation",
     "NetworkKind", "NetworkProfile", "NoiseSpec", "ReceptionLedger",
     "RunSummary", "ScenarioConfig", "ScenarioFormatError", "StrategyKind",
-    "StrategyParams", "TerminalView", "Trigger", "WorldState",
-    "apply_disturbance", "compare", "decide_baseline", "decide_game",
-    "detect_convergence", "evaluate_network", "ground_truth_eval",
+    "StrategyParams", "TerminalView", "Trigger", "WorldState", "compare",
+    "decide_baseline", "decide_game", "detect_convergence",
+    "evaluate_network", "ground_truth_eval",
     "init_state", "load_scenario", "meets_requirements", "net_eva",
     "normalize", "p_degraded", "p_overload", "p_return", "perf_at",
     "predict_equilibrium_shift", "run_cycle", "run_scenario", "sample_link",

@@ -7,11 +7,15 @@ checks and (de)serialization of the scenario JSON document.
 
 from __future__ import annotations
 
+import dataclasses
 import json
-from dataclasses import dataclass, field
+import math
+import types
+import typing
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterator
 
 from .netmodel import NetworkProfile
 
@@ -28,13 +32,6 @@ class NetworkKind(Enum):
     DSRC = "dsrc"
     LTE = "lte"
     WIFI = "wifi"
-
-    @property
-    def order(self) -> int:
-        return _NETWORK_ORDER[self]
-
-
-_NETWORK_ORDER = {NetworkKind.DSRC: 0, NetworkKind.LTE: 1, NetworkKind.WIFI: 2}
 
 #: All networks in tie-break order.
 ALL_NETWORKS = (NetworkKind.DSRC, NetworkKind.LTE, NetworkKind.WIFI)
@@ -71,22 +68,6 @@ class StrategyParams:
     w_delay: float = 0.7
     w_plr: float = 0.2
     w_jit: float = 0.1
-
-
-@dataclass(frozen=True)
-class Bsm:
-    """One periodic safety broadcast.
-
-    gen_time is always an exact multiple of the cycle length (GPS-grade
-    time sync is assumed). The payload stands in for position/speed data
-    and is never read by any decision.
-    """
-
-    sender_id: int
-    gen_time: float
-    cycle_seq: int
-    network: NetworkKind
-    payload: bytes = b""
 
 
 @dataclass(frozen=True)
@@ -224,200 +205,101 @@ def validate_config(cfg: ScenarioConfig) -> list[str]:
             v.append(f"disturbance duration_cycles must be >= 1 or null, "
                      f"got {d.duration_cycles}")
 
+    v.extend(f"{path} must be finite, got {val}"
+             for path, val in _non_finite(scenario_to_dict(cfg), ""))
     return v
 
 
 # ---------------------------------------------------------------------------
 # JSON schema
 #
-# The scenario document mirrors the dataclasses with snake_case keys.
-# Unknown keys are rejected at every level so that typos fail loudly.
+# The scenario document mirrors the dataclasses with snake_case keys, so the
+# dataclass fields and their type hints are the whole schema. Unknown keys
+# are rejected at every level so that typos fail loudly.
 # ---------------------------------------------------------------------------
 
-def _check_keys(obj: dict, allowed: set[str], required: set[str], where: str) -> None:
-    unknown = set(obj) - allowed
-    if unknown:
-        raise ScenarioFormatError(f"{where}: unknown keys {sorted(unknown)}")
-    missing = required - set(obj)
-    if missing:
-        raise ScenarioFormatError(f"{where}: missing keys {sorted(missing)}")
-
-
-def _as_number(value: Any, where: str) -> float:
+def _from_json(tp: Any, value: Any, path: str) -> Any:
+    """Convert a parsed JSON value to `tp`; errors name the dotted field path."""
+    if isinstance(tp, types.UnionType):  # `X | None`
+        if value is None:
+            return None
+        tp = next(arg for arg in typing.get_args(tp) if arg is not type(None))
+    if dataclasses.is_dataclass(tp):
+        where = path or "scenario"
+        if not isinstance(value, dict):
+            raise ScenarioFormatError(f"{where}: expected an object")
+        fields = dataclasses.fields(tp)
+        unknown = set(value) - {f.name for f in fields}
+        if unknown:
+            raise ScenarioFormatError(f"{where}: unknown keys {sorted(unknown)}")
+        missing = {f.name for f in fields if f.name not in value
+                   and f.default is dataclasses.MISSING
+                   and f.default_factory is dataclasses.MISSING}
+        if missing:
+            raise ScenarioFormatError(f"{where}: missing keys {sorted(missing)}")
+        hints = typing.get_type_hints(tp)
+        return tp(**{key: _from_json(hints[key], item, f"{path}.{key}" if path else key)
+                     for key, item in value.items()})
+    if typing.get_origin(tp) is dict:
+        key_tp, item_tp = typing.get_args(tp)
+        if not isinstance(value, dict):
+            raise ScenarioFormatError(f"{path}: expected an object")
+        return {_from_json(key_tp, key, path): _from_json(item_tp, item, f"{path}.{key}")
+                for key, item in value.items()}
+    if issubclass(tp, Enum):
+        try:
+            return tp(value)
+        except ValueError:
+            raise ScenarioFormatError(f"{path}: expected one of "
+                                      f"{[m.value for m in tp]}, got {value!r}") from None
+    if tp is int:
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ScenarioFormatError(f"{path}: expected an integer, got {value!r}")
+        return value
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ScenarioFormatError(f"{where}: expected a number, got {value!r}")
-    return float(value)
+        raise ScenarioFormatError(f"{path}: expected a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ScenarioFormatError(f"{path}: expected a finite number, got {value!r}")
+    return number
 
 
-def _as_int(value: Any, where: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ScenarioFormatError(f"{where}: expected an integer, got {value!r}")
+def _to_json(value: Any) -> Any:
+    """Inverse of _from_json: dataclasses become objects in field order."""
+    if dataclasses.is_dataclass(value):
+        return {f.name: _to_json(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if isinstance(value, dict):
+        return {_to_json(key): _to_json(item) for key, item in value.items()}
+    if isinstance(value, Enum):
+        return value.value
     return value
 
 
-def _network_from_key(key: str, where: str) -> NetworkKind:
-    try:
-        return NetworkKind(key)
-    except ValueError:
-        raise ScenarioFormatError(f"{where}: unknown network {key!r}") from None
-
-
-def _strategy_from_dict(obj: Any) -> StrategyParams:
-    if not isinstance(obj, dict):
-        raise ScenarioFormatError("strategy: expected an object")
-    allowed = {"n_exp", "rho", "sigma", "f_delay_ref", "f_plr_ref", "f_jit_ref",
-               "w_delay", "w_plr", "w_jit"}
-    _check_keys(obj, allowed, {"n_exp", "rho", "sigma"}, "strategy")
-    kwargs: dict[str, Any] = {"n_exp": _as_int(obj["n_exp"], "strategy.n_exp")}
-    for key in allowed - {"n_exp"}:
-        if key in obj:
-            kwargs[key] = _as_number(obj[key], f"strategy.{key}")
-    return StrategyParams(**kwargs)
-
-
-def _profile_from_dict(kind: NetworkKind, obj: Any) -> NetworkProfile:
-    where = f"profiles.{kind.value}"
-    if not isinstance(obj, dict):
-        raise ScenarioFormatError(f"{where}: expected an object")
-    required = {"d0", "a", "p0", "b", "g0", "h", "cap"}
-    _check_keys(obj, required | {"exponent"}, required, where)
-    return NetworkProfile(
-        kind=kind,
-        d0=_as_number(obj["d0"], f"{where}.d0"),
-        a=_as_number(obj["a"], f"{where}.a"),
-        p0=_as_number(obj["p0"], f"{where}.p0"),
-        b=_as_number(obj["b"], f"{where}.b"),
-        g0=_as_number(obj["g0"], f"{where}.g0"),
-        h=_as_number(obj["h"], f"{where}.h"),
-        cap=_as_int(obj["cap"], f"{where}.cap"),
-        exponent=_as_number(obj.get("exponent", 2), f"{where}.exponent"),
-    )
+def _non_finite(doc: Any, path: str) -> Iterator[tuple[str, float]]:
+    """(dotted path, value) of every NaN or infinite float in a JSON document."""
+    if isinstance(doc, float) and not math.isfinite(doc):
+        yield path, doc
+    elif isinstance(doc, dict):
+        for key, item in doc.items():
+            yield from _non_finite(item, f"{path}.{key}" if path else key)
 
 
 def scenario_from_dict(data: Any) -> ScenarioConfig:
-    """Build a ScenarioConfig from a parsed JSON document (strict keys)."""
-    if not isinstance(data, dict):
-        raise ScenarioFormatError("scenario: expected a JSON object")
-    allowed = {"total_terminals", "initial_assignment", "cycle_length", "num_cycles",
-               "strategy", "strategy_kind", "measurement_mode", "profiles", "noise",
-               "disturbance", "seed"}
-    required = {"total_terminals", "initial_assignment", "num_cycles", "strategy",
-                "profiles", "seed"}
-    _check_keys(data, allowed, required, "scenario")
+    """Build a ScenarioConfig from a parsed JSON document (strict keys).
 
-    raw_assign = data["initial_assignment"]
-    if not isinstance(raw_assign, dict):
-        raise ScenarioFormatError("initial_assignment: expected an object")
-    assignment = {net: 0 for net in ALL_NETWORKS}
-    for key, count in raw_assign.items():
-        net = _network_from_key(key, "initial_assignment")
-        assignment[net] = _as_int(count, f"initial_assignment.{key}")
-
-    raw_profiles = data["profiles"]
-    if not isinstance(raw_profiles, dict):
-        raise ScenarioFormatError("profiles: expected an object")
-    profiles = {}
-    for key, pdata in raw_profiles.items():
-        net = _network_from_key(key, "profiles")
-        profiles[net] = _profile_from_dict(net, pdata)
-
-    try:
-        strategy_kind = StrategyKind(data.get("strategy_kind", "game"))
-    except ValueError:
-        raise ScenarioFormatError(
-            f"strategy_kind: expected one of {[k.value for k in StrategyKind]}, "
-            f"got {data['strategy_kind']!r}") from None
-    try:
-        mode = MeasurementMode(data.get("measurement_mode", "sampled"))
-    except ValueError:
-        raise ScenarioFormatError(
-            f"measurement_mode: expected one of {[m.value for m in MeasurementMode]}, "
-            f"got {data['measurement_mode']!r}") from None
-
-    noise = None
-    if data.get("noise") is not None:
-        nobj = data["noise"]
-        if not isinstance(nobj, dict):
-            raise ScenarioFormatError("noise: expected an object or null")
-        _check_keys(nobj, {"amplitude", "frequency_hz"},
-                    {"amplitude", "frequency_hz"}, "noise")
-        noise = NoiseSpec(amplitude=_as_int(nobj["amplitude"], "noise.amplitude"),
-                          frequency_hz=_as_number(nobj["frequency_hz"],
-                                                  "noise.frequency_hz"))
-
-    disturbance = None
-    if data.get("disturbance") is not None:
-        dobj = data["disturbance"]
-        if not isinstance(dobj, dict):
-            raise ScenarioFormatError("disturbance: expected an object or null")
-        _check_keys(dobj, {"network", "delta_e", "start_cycle", "duration_cycles"},
-                    {"network", "delta_e", "start_cycle"}, "disturbance")
-        duration = dobj.get("duration_cycles")
-        if duration is not None:
-            duration = _as_int(duration, "disturbance.duration_cycles")
-        disturbance = DisturbanceSpec(
-            network=_network_from_key(dobj["network"], "disturbance.network"),
-            delta_e=_as_number(dobj["delta_e"], "disturbance.delta_e"),
-            start_cycle=_as_int(dobj["start_cycle"], "disturbance.start_cycle"),
-            duration_cycles=duration,
-        )
-
-    return ScenarioConfig(
-        total_terminals=_as_int(data["total_terminals"], "total_terminals"),
-        initial_assignment=assignment,
-        num_cycles=_as_int(data["num_cycles"], "num_cycles"),
-        strategy=_strategy_from_dict(data["strategy"]),
-        profiles=profiles,
-        seed=_as_int(data["seed"], "seed"),
-        strategy_kind=strategy_kind,
-        measurement_mode=mode,
-        cycle_length=_as_number(data.get("cycle_length", 0.1), "cycle_length"),
-        noise=noise,
-        disturbance=disturbance,
-    )
+    Networks left out of initial_assignment start with 0 terminals.
+    """
+    cfg = _from_json(ScenarioConfig, data, "")
+    assignment = {net: cfg.initial_assignment.get(net, 0) for net in ALL_NETWORKS}
+    return dataclasses.replace(cfg, initial_assignment=assignment)
 
 
 def scenario_to_dict(cfg: ScenarioConfig) -> dict[str, Any]:
     """Inverse of scenario_from_dict (round-trips exactly)."""
-    doc: dict[str, Any] = {
-        "total_terminals": cfg.total_terminals,
-        "initial_assignment": {net.value: cfg.initial_assignment.get(net, 0)
-                               for net in ALL_NETWORKS},
-        "cycle_length": cfg.cycle_length,
-        "num_cycles": cfg.num_cycles,
-        "strategy_kind": cfg.strategy_kind.value,
-        "measurement_mode": cfg.measurement_mode.value,
-        "seed": cfg.seed,
-        "strategy": {
-            "n_exp": cfg.strategy.n_exp,
-            "rho": cfg.strategy.rho,
-            "sigma": cfg.strategy.sigma,
-            "f_delay_ref": cfg.strategy.f_delay_ref,
-            "f_plr_ref": cfg.strategy.f_plr_ref,
-            "f_jit_ref": cfg.strategy.f_jit_ref,
-            "w_delay": cfg.strategy.w_delay,
-            "w_plr": cfg.strategy.w_plr,
-            "w_jit": cfg.strategy.w_jit,
-        },
-        "profiles": {
-            net.value: {
-                "d0": p.d0, "a": p.a, "p0": p.p0, "b": p.b,
-                "g0": p.g0, "h": p.h, "cap": p.cap, "exponent": p.exponent,
-            }
-            for net, p in ((net, cfg.profiles[net]) for net in ALL_NETWORKS)
-        },
-    }
-    if cfg.noise is not None:
-        doc["noise"] = {"amplitude": cfg.noise.amplitude,
-                        "frequency_hz": cfg.noise.frequency_hz}
-    if cfg.disturbance is not None:
-        doc["disturbance"] = {
-            "network": cfg.disturbance.network.value,
-            "delta_e": cfg.disturbance.delta_e,
-            "start_cycle": cfg.disturbance.start_cycle,
-            "duration_cycles": cfg.disturbance.duration_cycles,
-        }
-    return doc
+    return _to_json(cfg)
 
 
 def load_scenario(path: str | Path) -> ScenarioConfig:

@@ -15,13 +15,11 @@ decisions are computed is irrelevant.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .domain import (
     ALL_NETWORKS,
-    Bsm,
-    DisturbanceSpec,
     MeasurementMode,
     NetworkKind,
     ScenarioConfig,
@@ -54,8 +52,6 @@ class WorldState:
     rngs: list[random.Random]
     counts: dict[NetworkKind, int]
     ledgers: list[ReceptionLedger] | None = None
-    disturbance_offset: dict[NetworkKind, float] = field(
-        default_factory=lambda: {net: 0.0 for net in ALL_NETWORKS})
 
 
 @dataclass(frozen=True)
@@ -90,16 +86,6 @@ def init_state(cfg: ScenarioConfig) -> WorldState:
                       rngs=rngs, counts=counts, ledgers=ledgers)
 
 
-def apply_disturbance(state: WorldState, spec: DisturbanceSpec | None,
-                      cycle: int) -> WorldState:
-    """Set the per-network evaluation offsets for this cycle."""
-    offsets = {net: 0.0 for net in ALL_NETWORKS}
-    if spec is not None and spec.active_at(cycle):
-        offsets[spec.network] = spec.delta_e
-    state.disturbance_offset = offsets
-    return state
-
-
 def _noise_stride(frequency_hz: float, cycle_length: float) -> int:
     return max(1, round(1.0 / (frequency_hz * cycle_length)))
 
@@ -123,27 +109,30 @@ def run_cycle(state: WorldState, cfg: ScenarioConfig,
     else:
         assert state.ledgers is not None
         for ledger in state.ledgers:
-            ledger.begin_cycle(t)
+            ledger.begin_cycle()
         for sender in range(n_terminals):
             net = state.attachment[sender]
             profile = cfg.profiles[net]
             load = counts_pre[net]
-            bsm = Bsm(sender_id=sender, gen_time=gen_time, cycle_seq=t, network=net)
             for receiver in range(n_terminals):
                 if receiver == sender:
                     continue
                 link = sample_link(profile, load, state.rngs[receiver])
                 if link.delivered:
+                    # Delay as reception time minus generation time, the way a
+                    # receiver computes it; the float round trip is kept on
+                    # purpose, since it shifts the last bits of the delay.
                     state.ledgers[receiver].record_reception(
-                        bsm, gen_time + link.delay)
+                        net, sender, (gen_time + link.delay) - gen_time)
 
-    apply_disturbance(state, cfg.disturbance, t)
-    penalty = state.disturbance_offset
+    penalty = {net: 0.0 for net in ALL_NETWORKS}
+    if cfg.disturbance is not None and cfg.disturbance.active_at(t):
+        penalty[cfg.disturbance.network] = cfg.disturbance.delta_e
 
     shared_evals = None
     if direct:
         shared_evals = {
-            net: evaluate_network(net, shared_metrics[net], cfg.profiles[net],
+            net: evaluate_network(shared_metrics[net], cfg.profiles[net],
                                   params, penalty[net])
             for net in ALL_NETWORKS
         }
@@ -170,7 +159,7 @@ def run_cycle(state: WorldState, cfg: ScenarioConfig,
         else:
             ledger = state.ledgers[i]
             evals = {
-                net: evaluate_network(net, ledger.measure(net), cfg.profiles[net],
+                net: evaluate_network(ledger.measure(net), cfg.profiles[net],
                                       params, penalty[net])
                 for net in ALL_NETWORKS
             }
@@ -217,7 +206,7 @@ def run_cycle(state: WorldState, cfg: ScenarioConfig,
     for net in ALL_NETWORKS:
         truth = perf_at(cfg.profiles[net], counts_pre[net])
         net_delay[net], net_plr[net], net_jit[net] = truth
-        net_score[net] = evaluate_network(net, truth, cfg.profiles[net],
+        net_score[net] = evaluate_network(truth, cfg.profiles[net],
                                           params, penalty[net]).score
 
     record = CycleRecord(

@@ -25,10 +25,6 @@ class NetEvaluation:
     used instead.
     """
 
-    network: NetworkKind
-    u_delay: float
-    u_plr: float
-    u_jit: float
     score: float
     meets_requirements: bool
     measured: bool = True
@@ -63,8 +59,7 @@ def meets_requirements(delay: float, plr: float, jit: float,
     return exceeded < 2
 
 
-def evaluate_network(network: NetworkKind,
-                     metrics: tuple[float, float, float] | None,
+def evaluate_network(metrics: tuple[float, float, float] | None,
                      profile: NetworkProfile,
                      params: StrategyParams,
                      penalty: float = 0.0) -> NetEvaluation:
@@ -84,19 +79,14 @@ def evaluate_network(network: NetworkKind,
         delay += penalty * params.f_delay_ref
         plr += penalty * params.f_plr_ref
         jit += penalty * params.f_jit_ref
-    utilities = normalize(delay, plr, jit, params)
     return NetEvaluation(
-        network=network,
-        u_delay=utilities[0],
-        u_plr=utilities[1],
-        u_jit=utilities[2],
-        score=net_eva(utilities, params),
+        score=net_eva(normalize(delay, plr, jit, params), params),
         meets_requirements=meets_requirements(delay, plr, jit, params),
         measured=measured,
     )
 
 
-def select_best(evals: list[NetEvaluation] | dict[NetworkKind, NetEvaluation],
+def select_best(evals: dict[NetworkKind, NetEvaluation],
                 current: NetworkKind) -> NetworkKind:
     """Argmax of score over all three networks.
 
@@ -104,15 +94,12 @@ def select_best(evals: list[NetEvaluation] | dict[NetworkKind, NetEvaluation],
     nothing is never worth its cost), then fall back to the fixed
     network ordering.
     """
-    if isinstance(evals, dict):
-        evals = list(evals.values())
-    by_net = {e.network: e.score for e in evals}
-    if set(by_net) != set(ALL_NETWORKS):
-        raise ValueError(f"select_best needs all three networks, got {sorted(n.value for n in by_net)}")
-    best = max(by_net.values())
-    if by_net[current] == best:
+    if set(evals) != set(ALL_NETWORKS):
+        raise ValueError(f"select_best needs all three networks, got {sorted(n.value for n in evals)}")
+    best = max(e.score for e in evals.values())
+    if evals[current].score == best:
         return current
     for net in ALL_NETWORKS:
-        if by_net[net] == best:
+        if evals[net].score == best:
             return net
     raise AssertionError("unreachable")

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
-    from .domain import NetworkKind, StrategyParams
+    from .domain import StrategyParams
 
 
 @dataclass(frozen=True)
@@ -31,7 +31,6 @@ class NetworkProfile:
     for networks without native broadcast is folded into d0.
     """
 
-    kind: "NetworkKind"
     d0: float
     a: float
     p0: float

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from collections import deque
 
-from .domain import ALL_NETWORKS, Bsm, NetworkKind
+from .domain import ALL_NETWORKS, NetworkKind
 
 #: Sender-count window, in cycles.
 SENDER_WINDOW_CYCLES = 3
@@ -35,9 +35,7 @@ class ReceptionLedger:
     def __init__(self, cycle_length: float):
         if cycle_length <= 0:
             raise ValueError(f"cycle_length must be > 0, got {cycle_length}")
-        self.cycle_length = cycle_length
         self.trailing_cycles = math.ceil(1.0 / cycle_length)
-        self._cycle: int | None = None
         # Newest slot last; one {sender: delay} dict per cycle.
         self._slots: dict[NetworkKind, deque[dict[int, float]]] = {
             net: deque(maxlen=SENDER_WINDOW_CYCLES) for net in ALL_NETWORKS
@@ -47,36 +45,18 @@ class ReceptionLedger:
             net: deque(maxlen=self.trailing_cycles) for net in ALL_NETWORKS
         }
 
-    @property
-    def cycle(self) -> int | None:
-        return self._cycle
-
-    def begin_cycle(self, cycle: int) -> None:
+    def begin_cycle(self) -> None:
         """Open a new (empty) cycle slot; receptions land in the open slot."""
-        if self._cycle is not None and cycle <= self._cycle:
-            raise ValueError(f"cycle {cycle} does not advance past {self._cycle}")
-        self._cycle = cycle
         for net in ALL_NETWORKS:
             self._slots[net].append({})
             self._recent[net].append(set())
 
-    def record_reception(self, bsm: Bsm, recv_time: float) -> None:
-        """Log one received broadcast; duplicates from a sender keep the latest."""
-        if recv_time < bsm.gen_time:
-            raise ValueError(
-                f"reception at {recv_time} precedes generation at {bsm.gen_time}")
-        if self._cycle is None:
-            raise ValueError("no open cycle; call begin_cycle first")
-        age = self._cycle - bsm.cycle_seq
-        if age < 0:
-            raise ValueError(f"broadcast from future cycle {bsm.cycle_seq}")
-        delay = recv_time - bsm.gen_time
-        slots = self._slots[bsm.network]
-        if age < len(slots):
-            slots[-1 - age][bsm.sender_id] = delay
-        recent = self._recent[bsm.network]
-        if age < len(recent):
-            recent[-1 - age].add(bsm.sender_id)
+    def record_reception(self, network: NetworkKind, sender: int, delay: float) -> None:
+        """Log one broadcast received this cycle; a repeated sender keeps the latest."""
+        if delay < 0:
+            raise ValueError(f"reception precedes generation (delay {delay})")
+        self._slots[network][-1][sender] = delay
+        self._recent[network][-1].add(sender)
 
     def distinct_senders(self, network: NetworkKind) -> int:
         """Unique senders heard on the network within the 3-cycle window."""

@@ -53,10 +53,6 @@ class Decision:
     new_counter_c: int
     trigger: Trigger = Trigger.NONE
 
-    @property
-    def switches(self) -> bool:
-        return self.target is not None
-
 
 def p_overload(x: int, n_exp: int, rho: float) -> float:
     """Switch probability for a DSRC terminal seeing x > n_exp senders.
@@ -137,25 +133,19 @@ def decide_game(view: TerminalView, params: StrategyParams,
             if rng.random() < p_overload(view.x_dsrc, params.n_exp, params.rho):
                 target = _best_target(view.evals, exclude=NetworkKind.DSRC)
                 return Decision(target, c, Trigger.OVERLOAD)
-        if not view.dsrc_meets:
-            c += 1
-            if rng.random() < p_degraded(c, view.x_dsrc, params.sigma):
-                target = _best_target(view.evals, exclude=NetworkKind.DSRC)
-                return Decision(target, c, Trigger.DEGRADATION)
-            return Decision(None, c)
-        return Decision(None, c // 2)
+        x, met = view.x_dsrc, view.dsrc_meets
+    else:
+        if view.dsrc_meets and view.x_dsrc < params.n_exp:
+            if rng.random() < p_return(view.x_dsrc, view.x_current,
+                                       params.n_exp, params.rho):
+                return Decision(NetworkKind.DSRC, c, Trigger.RETURN_TO_DSRC)
+        x, met = view.x_current, view.current_meets
 
-    if view.dsrc_meets and view.x_dsrc < params.n_exp:
-        if rng.random() < p_return(view.x_dsrc, view.x_current,
-                                   params.n_exp, params.rho):
-            return Decision(NetworkKind.DSRC, c, Trigger.RETURN_TO_DSRC)
-    if not view.current_meets:
-        c += 1
-        if rng.random() < p_degraded(c, view.x_current, params.sigma):
-            target = _best_target(view.evals, exclude=view.current)
-            return Decision(target, c, Trigger.DEGRADATION)
-        return Decision(None, c)
-    return Decision(None, c // 2)
+    c = update_counter(c, met)
+    if not met and rng.random() < p_degraded(c, x, params.sigma):
+        target = _best_target(view.evals, exclude=view.current)
+        return Decision(target, c, Trigger.DEGRADATION)
+    return Decision(None, c)
 
 
 def decide_baseline(view: TerminalView) -> Decision:

@@ -14,7 +14,6 @@ from hetsim.domain import (
     load_scenario,
 )
 from hetsim.engine import (
-    apply_disturbance,
     init_state,
     predict_equilibrium_shift,
     run_cycle,
@@ -135,21 +134,6 @@ def test_single_terminal_avg_score_is_ground_truth():
 
 
 # --- disturbance -------------------------------------------------------------
-
-def test_apply_disturbance_sets_offsets():
-    state = init_state(step_cfg())
-    spec = DisturbanceSpec(network=NetworkKind.WIFI, delta_e=0.2, start_cycle=3,
-                           duration_cycles=2)
-    apply_disturbance(state, spec, 2)
-    assert state.disturbance_offset[NetworkKind.WIFI] == 0.0
-    apply_disturbance(state, spec, 3)
-    assert state.disturbance_offset[NetworkKind.WIFI] == 0.2
-    assert state.disturbance_offset[NetworkKind.DSRC] == 0.0
-    apply_disturbance(state, spec, 5)  # expired
-    assert state.disturbance_offset[NetworkKind.WIFI] == 0.0
-    apply_disturbance(state, None, 3)
-    assert all(v == 0.0 for v in state.disturbance_offset.values())
-
 
 def test_disturbance_lowers_reported_score_by_exactly_delta():
     base = step_cfg(num_cycles=12, measurement_mode=MeasurementMode.DIRECT,

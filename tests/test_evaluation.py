@@ -92,11 +92,10 @@ def test_requirements_antitone():
 
 
 def evals_from_scores(scores):
-    return [
-        NetEvaluation(network=net, u_delay=0, u_plr=0, u_jit=0, score=score,
-                      meets_requirements=True)
+    return {
+        net: NetEvaluation(score=score, meets_requirements=True)
         for net, score in zip(ALL_NETWORKS, scores)
-    ]
+    }
 
 
 def test_select_best_unique_max():
@@ -120,8 +119,10 @@ def test_select_best_tie_without_current_uses_fixed_order():
 
 
 def test_select_best_requires_all_networks():
+    evals = evals_from_scores([0.5, 0.7, 0.6])
+    del evals[NetworkKind.WIFI]
     with pytest.raises(ValueError):
-        select_best(evals_from_scores([0.5, 0.7, 0.6])[:2], NetworkKind.DSRC)
+        select_best(evals, NetworkKind.DSRC)
 
 
 def test_select_best_affine_invariance():
@@ -137,44 +138,42 @@ def test_select_best_affine_invariance():
 
 
 def test_evaluate_network_measured():
-    profile = NetworkProfile(kind=NetworkKind.DSRC, d0=0.01, a=0.1, p0=0.01,
+    profile = NetworkProfile(d0=0.01, a=0.1, p0=0.01,
                              b=0.05, g0=0.002, h=0.05, cap=50)
     metrics = (0.05, 0.025, 0.05)
-    ev = evaluate_network(NetworkKind.DSRC, metrics, profile, PARAMS)
+    ev = evaluate_network(metrics, profile, PARAMS)
     assert ev.measured
     assert ev.score == pytest.approx(0.5)
     assert ev.meets_requirements
-    assert ev.score == pytest.approx(
-        PARAMS.w_delay * ev.u_delay + PARAMS.w_plr * ev.u_plr
-        + PARAMS.w_jit * ev.u_jit)
+    assert ev.score == net_eva(normalize(*metrics, PARAMS), PARAMS)
 
 
 def test_evaluate_network_fallback_prior():
-    profile = NetworkProfile(kind=NetworkKind.LTE, d0=0.06, a=0.12, p0=0.01,
+    profile = NetworkProfile(d0=0.06, a=0.12, p0=0.01,
                              b=0.08, g0=0.015, h=0.12, cap=60)
-    ev = evaluate_network(NetworkKind.LTE, None, profile, PARAMS)
+    ev = evaluate_network(None, profile, PARAMS)
     assert not ev.measured
-    ref = evaluate_network(NetworkKind.LTE, perf_at(profile, 1), profile, PARAMS)
+    ref = evaluate_network(perf_at(profile, 1), profile, PARAMS)
     assert ev.score == ref.score
     assert ev.meets_requirements == ref.meets_requirements
 
 
 def test_evaluate_network_penalty_drops_score_exactly():
-    profile = NetworkProfile(kind=NetworkKind.WIFI, d0=0.03, a=0.25, p0=0.01,
+    profile = NetworkProfile(d0=0.03, a=0.25, p0=0.01,
                              b=0.12, g0=0.01, h=0.15, cap=40)
     metrics = perf_at(profile, 17)
-    clean = evaluate_network(NetworkKind.WIFI, metrics, profile, PARAMS)
+    clean = evaluate_network(metrics, profile, PARAMS)
     for delta in (0.05, 0.08, 0.5):
-        hit = evaluate_network(NetworkKind.WIFI, metrics, profile, PARAMS,
+        hit = evaluate_network(metrics, profile, PARAMS,
                                penalty=delta)
         assert clean.score - hit.score == pytest.approx(delta, abs=1e-12)
 
 
 def test_penalty_can_flip_requirements():
-    profile = NetworkProfile(kind=NetworkKind.WIFI, d0=0.0999, a=0.0, p0=0.0499,
+    profile = NetworkProfile(d0=0.0999, a=0.0, p0=0.0499,
                              b=0.0, g0=0.0999, h=0.0, cap=1, exponent=1)
     metrics = perf_at(profile, 10)
-    assert evaluate_network(NetworkKind.WIFI, metrics, profile,
+    assert evaluate_network(metrics, profile,
                             PARAMS).meets_requirements
-    assert not evaluate_network(NetworkKind.WIFI, metrics, profile, PARAMS,
+    assert not evaluate_network(metrics, profile, PARAMS,
                                 penalty=0.05).meets_requirements

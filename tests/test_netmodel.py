@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from hetsim.domain import NetworkKind, StrategyParams
+from hetsim.domain import StrategyParams
 from hetsim.evaluation import net_eva, normalize
 from hetsim.netmodel import NetworkProfile, ground_truth_eval, perf_at, sample_link
 
@@ -10,8 +10,8 @@ PARAMS = StrategyParams(n_exp=30, rho=0.5, sigma=0.5)
 
 
 def profile(**kw):
-    base = dict(kind=NetworkKind.DSRC, d0=0.01, a=0.1, p0=0.02, b=0.05,
-                g0=0.002, h=0.05, cap=50, exponent=2)
+    base = dict(d0=0.01, a=0.1, p0=0.02, b=0.05, g0=0.002, h=0.05, cap=50,
+                exponent=2)
     base.update(kw)
     return NetworkProfile(**base)
 

@@ -1,9 +1,10 @@
 import dataclasses
+import hashlib
 from pathlib import Path
 
 import pytest
 
-from hetsim.domain import ALL_NETWORKS, NetworkKind, load_scenario
+from hetsim.domain import ALL_NETWORKS, MeasurementMode, NetworkKind, load_scenario
 from hetsim.engine import CycleRecord, run_scenario
 from hetsim.report import (
     CSV_COLUMNS,
@@ -15,6 +16,10 @@ from hetsim.report import (
 )
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+
+
+def csv_sha256(records):
+    return hashlib.sha256(render_csv(records).encode("utf-8")).hexdigest()
 
 
 def record(cycle, handoffs, counts=(30, 10, 10), avg_score=0.5):
@@ -101,6 +106,23 @@ def test_golden_step_run_summary():
     assert summary.mean_counts[NetworkKind.DSRC] == pytest.approx(30.0)
     assert summary.mean_counts[NetworkKind.LTE] == pytest.approx(5.0)
     assert summary.mean_counts[NetworkKind.WIFI] == pytest.approx(15.0)
+    assert csv_sha256(records) == \
+        "6c77300474171797331cd114bc141ee1fe2d73b4cdc0722b3a7caceb473f50af"
+
+
+#: sha256 of the CSV of each shipped scenario at its own seed, direct mode.
+DIRECT_CSV_SHA256 = {
+    "table2_step": "ef203fc30c6359b91931800f630c93c3a0dbe3b756d7e36b2d6bf0d181227dd4",
+    "table2_disturbance": "04a3a183d01c0d6dad46506408c3eb50399493602c31b4bce03ee7cee5b95278",
+    "linear_delta_e": "9967f768ba788a0e5c2aa3de5cc6e98c3e02fa1efa348a9c01398986efb6b28e",
+}
+
+
+@pytest.mark.parametrize("name", DIRECT_CSV_SHA256)
+def test_golden_direct_csv_bytes(name):
+    cfg = dataclasses.replace(load_scenario(SCENARIOS / f"{name}.json"),
+                              measurement_mode=MeasurementMode.DIRECT)
+    assert csv_sha256(run_scenario(cfg)) == DIRECT_CSV_SHA256[name]
 
 
 def test_csv_header_only_for_empty():

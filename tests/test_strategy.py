@@ -35,8 +35,7 @@ def evals(d=0.0, l=0.0, w=0.0, d_meets=True, l_meets=True, w_meets=True):
              NetworkKind.WIFI: w_meets}
     scores = {NetworkKind.DSRC: d, NetworkKind.LTE: l, NetworkKind.WIFI: w}
     return {
-        net: NetEvaluation(network=net, u_delay=0, u_plr=0, u_jit=0,
-                           score=scores[net], meets_requirements=flags[net])
+        net: NetEvaluation(score=scores[net], meets_requirements=flags[net])
         for net in ALL_NETWORKS
     }
 
