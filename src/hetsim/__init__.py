@@ -32,13 +32,15 @@ from .engine import (
 )
 from .evaluation import (
     NetEvaluation,
+    best_network,
     evaluate_network,
+    ground_truth_eval,
     meets_requirements,
     net_eva,
     normalize,
     select_best,
 )
-from .netmodel import LinkSample, NetworkProfile, ground_truth_eval, perf_at, sample_link
+from .netmodel import LinkSample, NetworkProfile, perf_at, sample_link
 from .report import (
     ComparisonSummary,
     RunSummary,
@@ -67,8 +69,8 @@ __all__ = [
     "DisturbanceSpec", "LinkSample", "MeasurementMode", "NetEvaluation",
     "NetworkKind", "NetworkProfile", "NoiseSpec", "ReceptionLedger",
     "RunSummary", "ScenarioConfig", "ScenarioFormatError", "StrategyKind",
-    "StrategyParams", "TerminalView", "Trigger", "WorldState", "compare",
-    "decide_baseline", "decide_game", "detect_convergence",
+    "StrategyParams", "TerminalView", "Trigger", "WorldState", "best_network",
+    "compare", "decide_baseline", "decide_game", "detect_convergence",
     "evaluate_network", "ground_truth_eval",
     "init_state", "load_scenario", "meets_requirements", "net_eva",
     "normalize", "p_degraded", "p_overload", "p_return", "perf_at",

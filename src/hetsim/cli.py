@@ -31,8 +31,8 @@ from .domain import (
     validate_config,
 )
 from .engine import predict_equilibrium_shift, run_scenario
-from .evaluation import meets_requirements
-from .netmodel import ground_truth_eval, perf_at
+from .evaluation import ground_truth_eval, meets_requirements
+from .netmodel import perf_at
 from .report import (
     DEFAULT_THRESHOLD,
     DEFAULT_WINDOW,
@@ -63,7 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, with_output: bool = True) -> None:
+    def add_common(p: argparse.ArgumentParser, writes_runs: bool = True) -> None:
         p.add_argument("scenario", help="path to the scenario JSON file")
         p.add_argument("-s", "--seed", type=int, default=None,
                        help="override the scenario seed")
@@ -73,20 +73,20 @@ def build_parser() -> argparse.ArgumentParser:
                        help="override the number of cycles")
         p.add_argument("--mode", choices=[m.value for m in MeasurementMode],
                        default=None, help="override the measurement mode")
-        if with_output:
+        if writes_runs:
             p.add_argument("-o", "--output", default=None,
                            help="output CSV path (default: scenario stem)")
-        p.add_argument("--convergence-threshold", type=int,
-                       default=DEFAULT_THRESHOLD,
-                       help="handoffs/cycle regarded as quiescent")
-        p.add_argument("--convergence-window", type=int, default=DEFAULT_WINDOW,
-                       help="quiescent cycles required for convergence")
+            p.add_argument("--convergence-threshold", type=int,
+                           default=DEFAULT_THRESHOLD,
+                           help="handoffs/cycle regarded as quiescent")
+            p.add_argument("--convergence-window", type=int, default=DEFAULT_WINDOW,
+                           help="quiescent cycles required for convergence")
 
     add_common(sub.add_parser("run", help="run a scenario and write its CSV"))
     add_common(sub.add_parser(
         "compare", help="run a scenario with both strategies, same seed"))
     add_common(sub.add_parser(
-        "oracle", help="analytic vs simulated equilibrium shift"), with_output=False)
+        "oracle", help="analytic vs simulated equilibrium shift"), writes_runs=False)
 
     cal = sub.add_parser("calibrate", help="check performance-curve calibration")
     cal.add_argument("scenario", help="path to the scenario JSON file")
@@ -112,13 +112,13 @@ def _load(path: str) -> ScenarioConfig:
 
 def _apply_overrides(cfg: ScenarioConfig, args: argparse.Namespace) -> ScenarioConfig:
     changes: dict = {}
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         changes["seed"] = args.seed
-    if getattr(args, "strategy", None) is not None:
+    if args.strategy is not None:
         changes["strategy_kind"] = StrategyKind(args.strategy)
-    if getattr(args, "num_cycles", None) is not None:
+    if args.num_cycles is not None:
         changes["num_cycles"] = args.num_cycles
-    if getattr(args, "mode", None) is not None:
+    if args.mode is not None:
         changes["measurement_mode"] = MeasurementMode(args.mode)
     return dataclasses.replace(cfg, **changes) if changes else cfg
 

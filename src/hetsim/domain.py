@@ -191,6 +191,11 @@ def validate_config(cfg: ScenarioConfig) -> list[str]:
             v.append(f"noise amplitude must be >= 0, got {cfg.noise.amplitude}")
         if cfg.noise.frequency_hz <= 0:
             v.append(f"noise frequency_hz must be > 0, got {cfg.noise.frequency_hz}")
+        elif cfg.cycle_length > 0:
+            per_cycle = cfg.noise.frequency_hz * cfg.cycle_length
+            if per_cycle == 0 or 1.0 / per_cycle == math.inf:
+                v.append(f"noise frequency_hz {cfg.noise.frequency_hz} is too small: "
+                         "1 / (frequency_hz * cycle_length) is not a finite number of cycles")
 
     if cfg.disturbance is not None:
         d = cfg.disturbance

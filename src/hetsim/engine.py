@@ -175,8 +175,6 @@ def run_cycle(state: WorldState, cfg: ScenarioConfig,
             x_dsrc=x_dsrc,
             x_current=x_current,
             evals=evals,
-            dsrc_meets=evals[NetworkKind.DSRC].meets_requirements,
-            current_meets=evals[current].meets_requirements,
             counter_c=state.counters[i],
         )
         decisions[i] = decide_game(view, params, rng) if game \

@@ -5,7 +5,9 @@ normalization against the maximum-acceptable references (a metric exactly
 at its reference scores 0, better is positive, worse negative), then
 combined by the configured weights into a single score. A network fails
 the performance requirements in a cycle when two or more metrics strictly
-exceed their references.
+exceed their references. The same scoring applied to the ground-truth
+curve gives ground_truth_eval, the function family the equilibrium oracle
+works on.
 """
 
 from __future__ import annotations
@@ -86,20 +88,27 @@ def evaluate_network(metrics: tuple[float, float, float] | None,
     )
 
 
+def ground_truth_eval(profile: NetworkProfile, n: int, params: StrategyParams) -> float:
+    """Noise-free score of the network at load n, from its ground-truth curve."""
+    return evaluate_network(perf_at(profile, n), profile, params).score
+
+
+def best_network(evals: dict[NetworkKind, NetEvaluation],
+                 exclude: NetworkKind | None = None) -> NetworkKind:
+    """Highest-scoring network other than `exclude`; ties go to the
+    ALL_NETWORKS order."""
+    return max((net for net in ALL_NETWORKS if net is not exclude),
+               key=lambda net: evals[net].score)
+
+
 def select_best(evals: dict[NetworkKind, NetEvaluation],
                 current: NetworkKind) -> NetworkKind:
     """Argmax of score over all three networks.
 
     Ties prefer the currently attached network (a handoff that buys
-    nothing is never worth its cost), then fall back to the fixed
-    network ordering.
+    nothing is never worth its cost), then the ALL_NETWORKS order.
     """
     if set(evals) != set(ALL_NETWORKS):
         raise ValueError(f"select_best needs all three networks, got {sorted(n.value for n in evals)}")
-    best = max(e.score for e in evals.values())
-    if evals[current].score == best:
-        return current
-    for net in ALL_NETWORKS:
-        if evals[net].score == best:
-            return net
-    raise AssertionError("unreachable")
+    best = best_network(evals, exclude=current)
+    return best if evals[best].score > evals[current].score else current

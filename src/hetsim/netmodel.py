@@ -15,10 +15,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:
-    from .domain import StrategyParams
 
 
 @dataclass(frozen=True)
@@ -75,15 +71,3 @@ def sample_link(profile: NetworkProfile, n: int, rng: random.Random) -> LinkSamp
     observed = delay + rng.uniform(-jitter, jitter)
     return LinkSample(delivered=True, delay=max(observed, profile.d0))
 
-
-def ground_truth_eval(profile: NetworkProfile, n: int, params: "StrategyParams") -> float:
-    """Noise-free weighted evaluation of the network at load n.
-
-    This is the analytic counterpart of what a terminal computes from its
-    received broadcasts, and the function family the equilibrium oracle
-    operates on.
-    """
-    from .evaluation import net_eva, normalize
-
-    delay, plr, jitter = perf_at(profile, n)
-    return net_eva(normalize(delay, plr, jitter, params), params)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -12,13 +13,17 @@ from .engine import CycleRecord
 DEFAULT_THRESHOLD = 1
 DEFAULT_WINDOW = 20
 
-CSV_COLUMNS = (
-    "cycle", "time_s", "count_dsrc", "count_lte", "count_wifi", "handoffs",
-    "avg_score", "score_dsrc", "score_lte", "score_wifi",
-    "delay_dsrc", "delay_lte", "delay_wifi",
-    "plr_dsrc", "plr_lte", "plr_wifi",
-    "jit_dsrc", "jit_lte", "jit_wifi",
-)
+#: The float per-network columns that end each row: (column prefix, CycleRecord field).
+_NETWORK_FLOATS = (("score", "net_score"), ("delay", "net_delay"),
+                   ("plr", "net_plr"), ("jit", "net_jit"))
+
+
+def _network_columns(prefix: str) -> list[str]:
+    return [f"{prefix}_{net.value}" for net in ALL_NETWORKS]
+
+
+CSV_COLUMNS = ("cycle", "time_s", *_network_columns("count"), "handoffs", "avg_score",
+               *(col for prefix, _ in _NETWORK_FLOATS for col in _network_columns(prefix)))
 
 
 @dataclass(frozen=True)
@@ -41,15 +46,11 @@ class RunSummary:
 class ComparisonSummary:
     """Game-vs-baseline comparison over the same scenario."""
 
+    game: RunSummary
+    baseline: RunSummary
     handoff_rate_ratio: float
     game_per_terminal_prob: float
     baseline_per_terminal_prob: float
-    game_converged_at: int | None
-    baseline_converged_at: int | None
-    game_pingpong_index: float
-    baseline_pingpong_index: float
-    game_total_handoffs: int
-    baseline_total_handoffs: int
 
 
 def detect_convergence(handoffs_series: list[int], threshold: int = DEFAULT_THRESHOLD,
@@ -83,23 +84,15 @@ def summarize(records: list[CycleRecord], threshold: int = DEFAULT_THRESHOLD,
     )
 
 
+_by_network = operator.itemgetter(*ALL_NETWORKS)
+_INTS = ",".join(["%d"] * len(ALL_NETWORKS))
+_FLOATS = ",".join(["%.6f"] * len(ALL_NETWORKS))
+
+
 def _row(record: CycleRecord) -> str:
-    d, l, w = ALL_NETWORKS
-    cells = [
-        str(record.cycle),
-        f"{record.time_s:.6f}",
-        str(record.counts[d]), str(record.counts[l]), str(record.counts[w]),
-        str(record.handoffs),
-        f"{record.avg_score:.6f}",
-        f"{record.net_score[d]:.6f}", f"{record.net_score[l]:.6f}",
-        f"{record.net_score[w]:.6f}",
-        f"{record.net_delay[d]:.6f}", f"{record.net_delay[l]:.6f}",
-        f"{record.net_delay[w]:.6f}",
-        f"{record.net_plr[d]:.6f}", f"{record.net_plr[l]:.6f}",
-        f"{record.net_plr[w]:.6f}",
-        f"{record.net_jit[d]:.6f}", f"{record.net_jit[l]:.6f}",
-        f"{record.net_jit[w]:.6f}",
-    ]
+    cells = [str(record.cycle), f"{record.time_s:.6f}", _INTS % _by_network(record.counts),
+             str(record.handoffs), f"{record.avg_score:.6f}"]
+    cells += [_FLOATS % _by_network(getattr(record, field)) for _, field in _NETWORK_FLOATS]
     return ",".join(cells)
 
 
@@ -126,25 +119,23 @@ def compare(game: RunSummary, baseline: RunSummary) -> ComparisonSummary:
     else:
         ratio = 1.0 if game.pingpong_index == 0 else float("inf")
     return ComparisonSummary(
+        game=game,
+        baseline=baseline,
         handoff_rate_ratio=ratio,
         game_per_terminal_prob=game.pingpong_index / total,
         baseline_per_terminal_prob=baseline.pingpong_index / total,
-        game_converged_at=game.converged_at_cycle,
-        baseline_converged_at=baseline.converged_at_cycle,
-        game_pingpong_index=game.pingpong_index,
-        baseline_pingpong_index=baseline.pingpong_index,
-        game_total_handoffs=game.total_handoffs,
-        baseline_total_handoffs=baseline.total_handoffs,
     )
 
 
+def _converged(cycle: int | None) -> str:
+    return "never" if cycle is None else f"cycle {cycle}"
+
+
 def format_summary(summary: RunSummary) -> str:
-    converged = ("never" if summary.converged_at_cycle is None
-                 else f"cycle {summary.converged_at_cycle}")
     counts = ", ".join(f"{net.value}={summary.mean_counts[net]:.2f}"
                        for net in ALL_NETWORKS)
     return "\n".join([
-        f"converged:        {converged}",
+        f"converged:        {_converged(summary.converged_at_cycle)}",
         f"pingpong index:   {summary.pingpong_index:.4f} handoffs/cycle",
         f"total handoffs:   {summary.total_handoffs}",
         f"mean avg score:   {summary.mean_avg_score:.4f}",
@@ -153,16 +144,10 @@ def format_summary(summary: RunSummary) -> str:
 
 
 def format_comparison(cmp: ComparisonSummary) -> str:
-    game_conv = ("never" if cmp.game_converged_at is None
-                 else f"cycle {cmp.game_converged_at}")
-    base_conv = ("never" if cmp.baseline_converged_at is None
-                 else f"cycle {cmp.baseline_converged_at}")
-    return "\n".join([
-        f"handoff rate ratio (game/baseline): {cmp.handoff_rate_ratio:.4f}",
-        f"game:     {cmp.game_pingpong_index:.4f} handoffs/cycle "
-        f"({cmp.game_per_terminal_prob:.4f} per terminal), "
-        f"total {cmp.game_total_handoffs}, converged {game_conv}",
-        f"baseline: {cmp.baseline_pingpong_index:.4f} handoffs/cycle "
-        f"({cmp.baseline_per_terminal_prob:.4f} per terminal), "
-        f"total {cmp.baseline_total_handoffs}, converged {base_conv}",
-    ])
+    lines = [f"handoff rate ratio (game/baseline): {cmp.handoff_rate_ratio:.4f}"]
+    for label, run, prob in (("game:    ", cmp.game, cmp.game_per_terminal_prob),
+                             ("baseline:", cmp.baseline, cmp.baseline_per_terminal_prob)):
+        lines.append(f"{label} {run.pingpong_index:.4f} handoffs/cycle ({prob:.4f} per "
+                     f"terminal), total {run.total_handoffs}, "
+                     f"converged {_converged(run.converged_at_cycle)}")
+    return "\n".join(lines)

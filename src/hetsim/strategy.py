@@ -21,8 +21,8 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 
-from .domain import ALL_NETWORKS, NetworkKind, StrategyParams
-from .evaluation import NetEvaluation, select_best
+from .domain import NetworkKind, StrategyParams
+from .evaluation import NetEvaluation, best_network, select_best
 
 
 @dataclass(frozen=True)
@@ -33,8 +33,6 @@ class TerminalView:
     x_dsrc: int
     x_current: int
     evals: dict[NetworkKind, NetEvaluation]
-    dsrc_meets: bool
-    current_meets: bool
     counter_c: int
 
 
@@ -100,21 +98,6 @@ def update_counter(c: int, met: bool) -> int:
     return c // 2 if met else c + 1
 
 
-def _best_target(evals: dict[NetworkKind, NetEvaluation],
-                 exclude: NetworkKind) -> NetworkKind:
-    """Highest-scoring network other than `exclude` (ties: fixed order)."""
-    best: NetworkKind | None = None
-    best_score = float("-inf")
-    for net in ALL_NETWORKS:
-        if net is exclude:
-            continue
-        score = evals[net].score
-        if score > best_score:
-            best, best_score = net, score
-    assert best is not None
-    return best
-
-
 def decide_game(view: TerminalView, params: StrategyParams,
                 rng: random.Random) -> Decision:
     """One play of the probabilistic handoff game.
@@ -127,23 +110,24 @@ def decide_game(view: TerminalView, params: StrategyParams,
     inspects the current network's requirements.
     """
     c = view.counter_c
+    dsrc_meets = view.evals[NetworkKind.DSRC].meets_requirements
 
     if view.current is NetworkKind.DSRC:
         if view.x_dsrc > params.n_exp:
             if rng.random() < p_overload(view.x_dsrc, params.n_exp, params.rho):
-                target = _best_target(view.evals, exclude=NetworkKind.DSRC)
+                target = best_network(view.evals, exclude=NetworkKind.DSRC)
                 return Decision(target, c, Trigger.OVERLOAD)
-        x, met = view.x_dsrc, view.dsrc_meets
+        x, met = view.x_dsrc, dsrc_meets
     else:
-        if view.dsrc_meets and view.x_dsrc < params.n_exp:
+        if dsrc_meets and view.x_dsrc < params.n_exp:
             if rng.random() < p_return(view.x_dsrc, view.x_current,
                                        params.n_exp, params.rho):
                 return Decision(NetworkKind.DSRC, c, Trigger.RETURN_TO_DSRC)
-        x, met = view.x_current, view.current_meets
+        x, met = view.x_current, view.evals[view.current].meets_requirements
 
     c = update_counter(c, met)
     if not met and rng.random() < p_degraded(c, x, params.sigma):
-        target = _best_target(view.evals, exclude=view.current)
+        target = best_network(view.evals, exclude=view.current)
         return Decision(target, c, Trigger.DEGRADATION)
     return Decision(None, c)
 

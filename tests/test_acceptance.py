@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from hetsim import ground_truth_eval
 from hetsim.cli import main
 from hetsim.domain import (
     MeasurementMode,
@@ -22,7 +23,6 @@ from hetsim.domain import (
 )
 from hetsim.engine import predict_equilibrium_shift, run_scenario
 from hetsim.evaluation import net_eva, normalize
-from hetsim.netmodel import ground_truth_eval
 from hetsim.report import detect_convergence, render_csv
 from hetsim.strategy import p_degraded, p_overload, p_return, update_counter
 

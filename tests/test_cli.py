@@ -82,6 +82,14 @@ def test_unknown_flag_rejected():
     assert exc.value.code != 0
 
 
+@pytest.mark.parametrize("flag", ["--convergence-threshold", "--convergence-window"])
+def test_oracle_rejects_convergence_flags(flag):
+    # oracle never detects convergence, so the flags would be ignored.
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle", LINEAR, flag, "5"])
+    assert exc.value.code == 2
+
+
 def test_unknown_subcommand_rejected():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate", STEP])

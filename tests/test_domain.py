@@ -22,6 +22,7 @@ from hetsim.domain import (
     scenario_to_dict,
     validate_config,
 )
+from hetsim.engine import run_scenario
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -90,6 +91,27 @@ def test_noise_and_disturbance_validation():
     assert any("frequency_hz" in v for v in violations)
     assert any("delta_e" in v for v in violations)
     assert any("start_cycle" in v for v in violations)
+
+
+@pytest.mark.parametrize("frequency_hz", [5e-324, 1e-320])
+def test_tiny_noise_frequency_rejected(frequency_hz):
+    # 1 / (frequency_hz * cycle_length) is 1/0 or overflows: no noise stride.
+    cfg = dataclasses.replace(table2_step(), num_cycles=2,
+                              noise=NoiseSpec(amplitude=2, frequency_hz=frequency_hz))
+    violations = validate_config(cfg)
+    assert len(violations) == 1
+    assert "noise frequency_hz" in violations[0]
+    assert "not a finite number of cycles" in violations[0]
+    with pytest.raises(ValueError, match="not a finite number of cycles"):
+        run_scenario(cfg)
+
+
+def test_readme_scenario_example_loads():
+    readme = (SCENARIOS.parent / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"```json\n(.*?)```", readme, re.DOTALL)
+    assert block is not None
+    cfg = scenario_from_dict(json.loads(block.group(1)))
+    assert validate_config(cfg) == []
 
 
 def test_profile_invariants_checked():

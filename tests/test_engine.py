@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from hetsim import ground_truth_eval
 from hetsim.domain import (
     ALL_NETWORKS,
     DisturbanceSpec,
@@ -20,7 +21,7 @@ from hetsim.engine import (
     run_scenario,
     substream_seed,
 )
-from hetsim.netmodel import NetworkProfile, ground_truth_eval
+from hetsim.netmodel import NetworkProfile
 from hetsim.report import render_csv
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"

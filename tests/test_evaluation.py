@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from hetsim.domain import ALL_NETWORKS, NetworkKind, StrategyParams
 from hetsim.evaluation import (
     NetEvaluation,
+    best_network,
     evaluate_network,
     meets_requirements,
     net_eva,
@@ -123,6 +125,36 @@ def test_select_best_requires_all_networks():
     del evals[NetworkKind.WIFI]
     with pytest.raises(ValueError):
         select_best(evals, NetworkKind.DSRC)
+
+
+def test_best_network_excludes():
+    evals = evals_from_scores([0.9, 0.2, 0.6])
+    assert best_network(evals) is NetworkKind.DSRC
+    assert best_network(evals, exclude=NetworkKind.DSRC) is NetworkKind.WIFI
+    assert best_network(evals, exclude=NetworkKind.WIFI) is NetworkKind.DSRC
+
+
+def test_best_network_ties_follow_fixed_order():
+    assert best_network(evals_from_scores([0.1, 0.4, 0.4])) is NetworkKind.LTE
+    evals = evals_from_scores([0.4, 0.4, 0.4])
+    assert best_network(evals) is NetworkKind.DSRC
+    assert best_network(evals, exclude=NetworkKind.DSRC) is NetworkKind.LTE
+    assert best_network(evals, exclude=NetworkKind.LTE) is NetworkKind.DSRC
+
+
+def test_select_best_matches_brute_force():
+    # Scores from {0, 0.5, 1} make ties common; every score triple and
+    # every current network is checked against the rule spelled out:
+    # stay on a network that ties the maximum, else the first maximum in
+    # the fixed order.
+    for scores in itertools.product((0.0, 0.5, 1.0), repeat=3):
+        top = max(scores)
+        for current in ALL_NETWORKS:
+            if scores[ALL_NETWORKS.index(current)] == top:
+                expected = current
+            else:
+                expected = ALL_NETWORKS[scores.index(top)]
+            assert select_best(evals_from_scores(list(scores)), current) is expected
 
 
 def test_select_best_affine_invariance():

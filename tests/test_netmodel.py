@@ -2,9 +2,10 @@ import random
 
 import pytest
 
+from hetsim import ground_truth_eval
 from hetsim.domain import StrategyParams
 from hetsim.evaluation import net_eva, normalize
-from hetsim.netmodel import NetworkProfile, ground_truth_eval, perf_at, sample_link
+from hetsim.netmodel import NetworkProfile, perf_at, sample_link
 
 PARAMS = StrategyParams(n_exp=30, rho=0.5, sigma=0.5)
 

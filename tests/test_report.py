@@ -180,8 +180,8 @@ def test_compare_example():
     result = compare(game, baseline)
     assert result.handoff_rate_ratio == pytest.approx(0.032)
     assert result.game_per_terminal_prob == pytest.approx(0.016)
-    assert result.game_converged_at is not None
-    assert result.baseline_converged_at is None
+    assert result.game.converged_at_cycle is not None
+    assert result.baseline.converged_at_cycle is None
 
 
 def test_compare_identical_summaries():

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -42,14 +43,16 @@ def evals(d=0.0, l=0.0, w=0.0, d_meets=True, l_meets=True, w_meets=True):
 
 def view(current=NetworkKind.DSRC, x_dsrc=10, x_current=None, ev=None,
          dsrc_meets=True, current_meets=True, c=0):
-    ev = ev if ev is not None else evals()
+    # The requirement flags live in the evaluations; for a DSRC terminal
+    # the current network is DSRC, so dsrc_meets wins.
+    ev = dict(ev if ev is not None else evals())
+    for net, flag in {current: current_meets, NetworkKind.DSRC: dsrc_meets}.items():
+        ev[net] = dataclasses.replace(ev[net], meets_requirements=flag)
     return TerminalView(
         current=current,
         x_dsrc=x_dsrc,
         x_current=x_current if x_current is not None else x_dsrc,
         evals=ev,
-        dsrc_meets=dsrc_meets,
-        current_meets=current_meets,
         counter_c=c,
     )
 
