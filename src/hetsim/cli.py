@@ -54,6 +54,14 @@ class _CliError(Exception):
         self.code = code
 
 
+def positive_int(text: str) -> int:
+    """argparse type of --convergence-window: an integer >= 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hetsim",
@@ -79,7 +87,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--convergence-threshold", type=int,
                            default=DEFAULT_THRESHOLD,
                            help="handoffs/cycle regarded as quiescent")
-            p.add_argument("--convergence-window", type=int, default=DEFAULT_WINDOW,
+            p.add_argument("--convergence-window", type=positive_int,
+                           default=DEFAULT_WINDOW,
                            help="quiescent cycles required for convergence")
 
     add_common(sub.add_parser("run", help="run a scenario and write its CSV"))
@@ -104,6 +113,8 @@ def _load(path: str) -> ScenarioConfig:
         raise _CliError(EXIT_IO, f"scenario file not found: {path}") from None
     except OSError as exc:
         raise _CliError(EXIT_IO, f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise _CliError(EXIT_CONFIG, f"{path} is not UTF-8 text: {exc}") from None
     except json.JSONDecodeError as exc:
         raise _CliError(EXIT_CONFIG, f"{path} is not valid JSON: {exc}") from None
     except ScenarioFormatError as exc:

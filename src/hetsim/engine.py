@@ -99,25 +99,22 @@ def run_cycle(state: WorldState, cfg: ScenarioConfig,
     direct = cfg.measurement_mode is MeasurementMode.DIRECT
     counts_pre = dict(state.counts)
     gen_time = t * cfg.cycle_length
+    # (delay, plr, jitter) at the pre-decision loads; every phase below reads it.
+    curves = {net: perf_at(cfg.profiles[net], counts_pre[net]) for net in ALL_NETWORKS}
 
     # Phases 1-3: broadcast, deliver, measure.
-    shared_metrics: dict[NetworkKind, tuple[float, float, float] | None] = {}
-    if direct:
-        for net in ALL_NETWORKS:
-            shared_metrics[net] = (perf_at(cfg.profiles[net], counts_pre[net])
-                                   if counts_pre[net] >= 1 else None)
-    else:
+    if not direct:
         assert state.ledgers is not None
         for ledger in state.ledgers:
             ledger.begin_cycle()
         for sender in range(n_terminals):
             net = state.attachment[sender]
             profile = cfg.profiles[net]
-            load = counts_pre[net]
+            curve = curves[net]
             for receiver in range(n_terminals):
                 if receiver == sender:
                     continue
-                link = sample_link(profile, load, state.rngs[receiver])
+                link = sample_link(profile, curve, state.rngs[receiver])
                 if link.delivered:
                     # Delay as reception time minus generation time, the way a
                     # receiver computes it; the float round trip is kept on
@@ -131,9 +128,10 @@ def run_cycle(state: WorldState, cfg: ScenarioConfig,
 
     shared_evals = None
     if direct:
+        # An empty network has no one to measure, so it scores from the prior.
         shared_evals = {
-            net: evaluate_network(shared_metrics[net], cfg.profiles[net],
-                                  params, penalty[net])
+            net: evaluate_network(curves[net] if counts_pre[net] else None,
+                                  cfg.profiles[net], params, penalty[net])
             for net in ALL_NETWORKS
         }
 
@@ -202,9 +200,8 @@ def run_cycle(state: WorldState, cfg: ScenarioConfig,
     net_jit: dict[NetworkKind, float] = {}
     net_score: dict[NetworkKind, float] = {}
     for net in ALL_NETWORKS:
-        truth = perf_at(cfg.profiles[net], counts_pre[net])
-        net_delay[net], net_plr[net], net_jit[net] = truth
-        net_score[net] = evaluate_network(truth, cfg.profiles[net],
+        net_delay[net], net_plr[net], net_jit[net] = curves[net]
+        net_score[net] = evaluate_network(curves[net], cfg.profiles[net],
                                           params, penalty[net]).score
 
     record = CycleRecord(

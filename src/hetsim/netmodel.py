@@ -56,18 +56,16 @@ def perf_at(profile: NetworkProfile, n: int) -> tuple[float, float, float]:
     return delay, plr, jitter
 
 
-def sample_link(profile: NetworkProfile, n: int, rng: random.Random) -> LinkSample:
-    """Sample one link outcome at load n.
+def sample_link(profile: NetworkProfile, curve: tuple[float, float, float],
+                rng: random.Random) -> LinkSample:
+    """Sample one link outcome from the network's `perf_at` curve value this cycle.
 
-    Delivery succeeds with probability 1 - plr(n); a delivered packet's
-    delay is the mean delay plus a uniform perturbation of half-width
-    jitter(n), never below the base delay d0.
+    Delivery succeeds with probability 1 - plr; only a delivered packet
+    draws its jitter, a uniform perturbation of half-width jitter around
+    the mean delay, and its delay is never below the base delay d0.
     """
-    if n < 1:
-        raise ValueError(f"sampling needs at least the sender attached, got n={n}")
-    delay, plr, jitter = perf_at(profile, n)
+    delay, plr, jitter = curve
     if rng.random() < plr:
         return LinkSample(delivered=False)
     observed = delay + rng.uniform(-jitter, jitter)
     return LinkSample(delivered=True, delay=max(observed, profile.d0))
-

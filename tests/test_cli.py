@@ -90,6 +90,28 @@ def test_oracle_rejects_convergence_flags(flag):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("command", ["run", "compare"])
+@pytest.mark.parametrize("window", ["0", "-1"])
+def test_convergence_window_below_one_rejected(tmp_path, command, window):
+    out = tmp_path / "o.csv"
+    with pytest.raises(SystemExit) as exc:
+        main([command, STEP, "--mode", "direct", "--num-cycles", "3",
+              "-o", str(out), "--convergence-window", window])
+    assert exc.value.code == 2
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_non_utf8_scenario_exits_1(tmp_path, capsys, command):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(Path(STEP).read_text().encode("utf-16"))  # starts ff fe
+    assert path.read_bytes()[:2] == b"\xff\xfe"
+    assert main([command, str(path)]) == 1
+    err = capsys.readouterr().err
+    assert str(path) in err
+    assert "UTF-8" in err
+
+
 def test_unknown_subcommand_rejected():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate", STEP])

@@ -21,7 +21,7 @@ from hetsim.engine import (
     run_scenario,
     substream_seed,
 )
-from hetsim.netmodel import NetworkProfile
+from hetsim.netmodel import NetworkProfile, perf_at
 from hetsim.report import render_csv
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -257,3 +257,53 @@ def test_any_valid_config_runs():
         assert validate_config(cfg) == []
         records = run_scenario(cfg)
         assert len(records) == cfg.num_cycles
+
+
+def clipped_uniform_mean(delay, jitter, floor):
+    """E[max(delay + U(-jitter, jitter), floor)]."""
+    lo, hi = delay - jitter, delay + jitter
+    if lo >= floor:
+        return delay
+    # floor with probability (floor - lo) / (2 jitter), else uniform above it
+    return (floor * (floor - lo) / (2 * jitter)
+            + (hi ** 2 - floor ** 2) / (4 * jitter))
+
+
+@pytest.mark.parametrize("seed", [42, 7, 123])
+def test_sampled_measurements_agree_with_curves(seed):
+    # rho = sigma = 0: no terminal can switch, so every load stays fixed and
+    # each cycle's receptions are fresh draws from the same curves.
+    frozen = dataclasses.replace(step_cfg().strategy, rho=0.0, sigma=0.0)
+    cfg = step_cfg(seed=seed, num_cycles=15, strategy=frozen)
+    state = init_state(cfg)
+    counts = dict(state.counts)
+    delays = {net: [] for net in ALL_NETWORKS}
+    senders = {net: [] for net in ALL_NETWORKS}  # (heard, expected, variance)
+    for t in range(cfg.num_cycles):
+        state, record = run_cycle(state, cfg)
+        assert record.counts == counts
+        for i, ledger in enumerate(state.ledgers):
+            for net in ALL_NETWORKS:
+                metrics = ledger.measure(net)
+                if metrics is not None:
+                    delays[net].append(metrics[0])
+                # Non-overlapping 3-cycle windows keep the snapshots independent.
+                if t % 3 == 2:
+                    _, plr, _ = perf_at(cfg.profiles[net], counts[net])
+                    heard_p = 1 - plr ** 3  # missed only if lost three times
+                    others = counts[net] - (state.attachment[i] is net)
+                    senders[net].append((ledger.distinct_senders(net),
+                                         others * heard_p,
+                                         others * heard_p * (1 - heard_p)))
+    for net in ALL_NETWORKS:
+        delay, _, jitter = perf_at(cfg.profiles[net], counts[net])
+        expected = clipped_uniform_mean(delay, jitter, cfg.profiles[net].d0)
+        sample = delays[net]
+        mean = sum(sample) / len(sample)
+        var = sum((x - mean) ** 2 for x in sample) / (len(sample) - 1)
+        assert abs(mean - expected) <= 4 * (var / len(sample)) ** 0.5, net
+
+        n = len(senders[net])
+        residual = sum(h - e for h, e, _ in senders[net]) / n
+        stderr = sum(v for _, _, v in senders[net]) ** 0.5 / n
+        assert abs(residual) <= 4 * stderr, net

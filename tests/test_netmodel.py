@@ -79,32 +79,26 @@ def test_ground_truth_eval_halfway():
 
 
 def test_sample_link_certain_loss():
-    p = profile(p0=1.0 - 1e-9, b=1.0)  # plr clamps to 1 for any n >= cap
     rng = random.Random(1)
-    p_full = profile(p0=0.5, b=2.0)
+    p_full = profile(p0=0.5, b=2.0)  # plr clamps to 1 at n = 100
     for _ in range(100):
-        assert not sample_link(p_full, 100, rng).delivered
+        assert not sample_link(p_full, perf_at(p_full, 100), rng).delivered
 
 
 def test_sample_link_degenerate_delay():
     p = profile(p0=0.0, b=0.0, g0=1e-12, h=0.0)
     rng = random.Random(2)
-    sample = sample_link(p, 10, rng)
+    sample = sample_link(p, perf_at(p, 10), rng)
     assert sample.delivered
     delay, _, _ = perf_at(p, 10)
     assert sample.delay == pytest.approx(delay, abs=1e-9)
-
-
-def test_sample_link_requires_sender():
-    with pytest.raises(ValueError):
-        sample_link(profile(), 0, random.Random(0))
 
 
 def test_sample_link_delay_never_below_base():
     p = profile(h=2.0)  # jitter wide enough to push raw delays negative
     rng = random.Random(3)
     for _ in range(2000):
-        s = sample_link(p, 5, rng)
+        s = sample_link(p, perf_at(p, 5), rng)
         if s.delivered:
             assert s.delay >= p.d0
 
@@ -114,7 +108,8 @@ def test_sample_link_delivery_rate_matches_plr():
     p = profile(p0=0.25, b=0.0)
     rng = random.Random(12345)
     trials = 100_000
-    delivered = sum(sample_link(p, 10, rng).delivered for _ in range(trials))
+    curve = perf_at(p, 10)
+    delivered = sum(sample_link(p, curve, rng).delivered for _ in range(trials))
     rate = delivered / trials
     sigma = (0.75 * 0.25 / trials) ** 0.5
     assert abs(rate - 0.75) <= 3 * sigma

@@ -17,19 +17,32 @@ def test_trailing_second_span():
     assert make_ledger(1.0).trailing_cycles == 1
 
 
+def heard_before(led, senders, net=DSRC):
+    """Close a cycle in which `senders` were heard, so measure can compare."""
+    led.begin_cycle()
+    for sender in senders:
+        led.record_reception(net, sender, 0.01)
+
+
 def test_record_stores_delay():
     led = make_ledger()
+    heard_before(led, [1])
     led.begin_cycle()
     led.record_reception(DSRC, 1, 0.02)
-    assert led.measure_delay(DSRC) == pytest.approx(0.02)
+    delay, _, _ = led.measure(DSRC)
+    assert delay == pytest.approx(0.02)
 
 
 def test_duplicate_sender_keeps_latest():
     led = make_ledger()
+    heard_before(led, [1])
     led.begin_cycle()
     led.record_reception(DSRC, 1, 0.02)
     led.record_reception(DSRC, 1, 0.05)
-    assert led.measure_delay(DSRC) == pytest.approx(0.05)
+    delay, plr, jit = led.measure(DSRC)
+    assert delay == pytest.approx(0.05)
+    assert plr == 0.0
+    assert jit == pytest.approx(0.04)
     assert led.distinct_senders(DSRC) == 1
 
 
@@ -82,44 +95,74 @@ def test_networks_kept_separate():
 
 def test_measure_delay_mean_and_undefined():
     led = make_ledger()
+    heard_before(led, [1, 2])
     led.begin_cycle()
     led.record_reception(DSRC, 1, 0.02)
     led.record_reception(DSRC, 2, 0.04)
-    assert led.measure_delay(DSRC) == pytest.approx(0.03)
-    assert led.measure_delay(LTE) is None
+    delay, _, _ = led.measure(DSRC)
+    assert delay == pytest.approx(0.03)
+    assert led.measure(LTE) is None
 
 
 def test_measure_delay_singleton():
     led = make_ledger()
+    heard_before(led, [5])
     led.begin_cycle()
     led.record_reception(DSRC, 5, 0.05)
-    assert led.measure_delay(DSRC) == pytest.approx(0.05)
+    delay, _, _ = led.measure(DSRC)
+    assert delay == pytest.approx(0.05)
 
 
 def test_measure_plr_loss_over_trailing_second():
     led = make_ledger()
     # 10 senders seen over the trailing second, 8 of them this cycle
-    led.begin_cycle()
-    for sender in range(10):
-        led.record_reception(DSRC, sender, 0.01)
+    heard_before(led, range(10))
     led.begin_cycle()
     for sender in range(8):
         led.record_reception(DSRC, sender, 0.01)
-    assert led.measure_plr(DSRC) == pytest.approx(0.25)
+    _, plr, _ = led.measure(DSRC)
+    assert plr == pytest.approx(0.25)
 
 
-def test_measure_plr_no_loss_and_clamp():
+def test_measure_plr_no_loss():
     led = make_ledger()
+    heard_before(led, range(7))
     led.begin_cycle()
     for sender in range(7):
         led.record_reception(DSRC, sender, 0.01)
-    assert led.measure_plr(DSRC) == 0.0
-    # more senders now than the trailing second held before: clamp at 0
-    led2 = make_ledger(cycle_length=1.0)  # trailing second = 1 cycle
+    _, plr, _ = led.measure(DSRC)
+    assert plr == 0.0
+    # trailing second = 1 cycle: the previous cycle's extra sender is outside it
+    led2 = make_ledger(cycle_length=1.0)
+    heard_before(led2, range(7))
     led2.begin_cycle()
     for sender in range(6):
         led2.record_reception(DSRC, sender, 0.5)
-    assert led2.measure_plr(DSRC) == 0.0
+    _, plr, _ = led2.measure(DSRC)
+    assert plr == 0.0
+
+
+@pytest.mark.parametrize("cycle_length", [0.1, 0.3, 1.0])
+def test_measure_plr_trailing_window_boundary(cycle_length):
+    # Sender 1 is heard every cycle; sender 2 last `back` cycles before the
+    # current one.
+    def plr_with_sender_2_heard(back):
+        led = make_ledger(cycle_length)
+        heard_before(led, [1])
+        heard_before(led, [1, 2])
+        for _ in range(back):
+            heard_before(led, [1])
+        _, plr, _ = led.measure(DSRC)
+        return plr, led
+
+    trailing = make_ledger(cycle_length).trailing_cycles
+    inside, _ = plr_with_sender_2_heard(trailing - 1)
+    outside, led = plr_with_sender_2_heard(trailing)
+    if trailing > 1:
+        assert inside == 1.0  # (2 heard - 1 now) / 1 now
+    assert outside == 0.0
+    # the sender window spans 3 cycles whatever the trailing second is
+    assert led.distinct_senders(DSRC) == (2 if trailing < 3 else 1)
 
 
 def test_measure_plr_undefined_when_silent():
@@ -127,7 +170,7 @@ def test_measure_plr_undefined_when_silent():
     led.begin_cycle()
     led.record_reception(DSRC, 1, 0.01)
     led.begin_cycle()
-    assert led.measure_plr(DSRC) is None
+    assert led.measure(DSRC) is None
 
 
 def test_measure_jitter_mean_abs_change():
@@ -138,7 +181,8 @@ def test_measure_jitter_mean_abs_change():
     led.begin_cycle()
     led.record_reception(DSRC, 1, 0.03)
     led.record_reception(DSRC, 2, 0.02)
-    assert led.measure_jitter(DSRC) == pytest.approx(0.02)  # mean(0.01, 0.03)
+    _, _, jit = led.measure(DSRC)
+    assert jit == pytest.approx(0.02)  # mean(0.01, 0.03)
 
 
 def test_measure_jitter_constant_delays():
@@ -146,17 +190,19 @@ def test_measure_jitter_constant_delays():
     for _ in range(2):
         led.begin_cycle()
         led.record_reception(DSRC, 1, 0.02)
-    assert led.measure_jitter(DSRC) == pytest.approx(0.0, abs=1e-12)
+    _, _, jit = led.measure(DSRC)
+    assert jit == pytest.approx(0.0, abs=1e-12)
 
 
 def test_measure_jitter_undefined_cases():
     led = make_ledger()
+    assert led.measure(DSRC) is None  # nothing heard yet
     led.begin_cycle()
     led.record_reception(DSRC, 1, 0.02)
-    assert led.measure_jitter(DSRC) is None  # one cycle only
+    assert led.measure(DSRC) is None  # one cycle only
     led.begin_cycle()
     led.record_reception(DSRC, 2, 0.02)
-    assert led.measure_jitter(DSRC) is None  # no sender in both cycles
+    assert led.measure(DSRC) is None  # no sender in both cycles
 
 
 def test_measure_requires_all_three():
@@ -189,6 +235,6 @@ def test_measurements_are_pure():
     led.record_reception(DSRC, 1, 0.02)
     led.begin_cycle()
     led.record_reception(DSRC, 1, 0.04)
-    first = (led.measure_delay(DSRC), led.measure_plr(DSRC), led.measure_jitter(DSRC))
-    second = (led.measure_delay(DSRC), led.measure_plr(DSRC), led.measure_jitter(DSRC))
+    first = (led.measure(DSRC), led.distinct_senders(DSRC))
+    second = (led.measure(DSRC), led.distinct_senders(DSRC))
     assert first == second
