@@ -17,8 +17,10 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 from pathlib import Path
+from typing import Callable
 
 from .domain import (
     ALL_NETWORKS,
@@ -54,12 +56,14 @@ class _CliError(Exception):
         self.code = code
 
 
-def positive_int(text: str) -> int:
-    """argparse type of --convergence-window: an integer >= 1."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def int_at_least(minimum: int) -> Callable[[str], int]:
+    """argparse type: an integer >= minimum."""
+    def integer(text: str) -> int:  # argparse says "invalid integer value"
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+    return integer
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -84,10 +88,10 @@ def build_parser() -> argparse.ArgumentParser:
         if writes_runs:
             p.add_argument("-o", "--output", default=None,
                            help="output CSV path (default: scenario stem)")
-            p.add_argument("--convergence-threshold", type=int,
+            p.add_argument("--convergence-threshold", type=int_at_least(0),
                            default=DEFAULT_THRESHOLD,
                            help="handoffs/cycle regarded as quiescent")
-            p.add_argument("--convergence-window", type=positive_int,
+            p.add_argument("--convergence-window", type=int_at_least(1),
                            default=DEFAULT_WINDOW,
                            help="quiescent cycles required for convergence")
 
@@ -305,10 +309,17 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()
+        return code
     except _CliError as exc:
         print(str(exc), file=sys.stderr)
         return exc.code
+    except BrokenPipeError:
+        # The reader closed stdout (`| head`). Point it at devnull so the
+        # interpreter's flush at exit cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_IO
 
 
 if __name__ == "__main__":

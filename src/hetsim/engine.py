@@ -1,11 +1,12 @@
 """The discrete-time closed loop.
 
-Each cycle: every terminal broadcasts once on its attached network, the
-broadcasts are delivered (packet-sampled, or bypassed in direct mode
-where measurements come straight from the ground-truth curves), every
-terminal measures and scores all three networks from what it received,
-then all decisions are computed from that common snapshot and applied
-simultaneously. Terminals never observe each other's same-cycle moves.
+Each cycle: every terminal broadcasts once on its attached network and
+the broadcasts are delivered (packet-sampled, or bypassed in direct mode
+where measurements come straight from the ground-truth curves). Then, in
+one pass, each terminal measures and scores all three networks from what
+it received, decides and moves. Every decision still comes from the
+common pre-cycle snapshot, because a terminal's move touches only its own
+slot: terminals never observe each other's same-cycle moves.
 
 Randomness is confined to per-terminal substreams derived from the
 scenario seed, so runs are bit-reproducible and the order in which
@@ -29,7 +30,7 @@ from .domain import (
 from .evaluation import evaluate_network
 from .netmodel import perf_at, sample_link
 from .sensing import ReceptionLedger
-from .strategy import Decision, TerminalView, decide_baseline, decide_game
+from .strategy import TerminalView, decide_baseline, decide_game
 
 _MASK64 = 2**64 - 1
 
@@ -71,17 +72,13 @@ class CycleRecord:
 
 def init_state(cfg: ScenarioConfig) -> WorldState:
     """Initial world per the configured assignment (ids packed in network order)."""
-    attachment: list[NetworkKind] = []
-    for net in ALL_NETWORKS:
-        attachment.extend([net] * cfg.initial_assignment.get(net, 0))
+    counts = {net: cfg.initial_assignment.get(net, 0) for net in ALL_NETWORKS}
+    attachment = [net for net in ALL_NETWORKS for _ in range(counts[net])]
     n = len(attachment)
     rngs = [random.Random(substream_seed(cfg.seed, i)) for i in range(n)]
     ledgers = None
     if cfg.measurement_mode is MeasurementMode.SAMPLED:
         ledgers = [ReceptionLedger(cfg.cycle_length) for _ in range(n)]
-    counts = {net: 0 for net in ALL_NETWORKS}
-    for net in attachment:
-        counts[net] += 1
     return WorldState(cycle=0, attachment=attachment, counters=[0] * n,
                       rngs=rngs, counts=counts, ledgers=ledgers)
 
@@ -95,17 +92,29 @@ def run_cycle(state: WorldState, cfg: ScenarioConfig,
     """Advance the world by one cycle and emit its record."""
     t = state.cycle
     n_terminals = len(state.attachment)
+    if decision_order is None:
+        decision_order = range(n_terminals)
+    elif sorted(decision_order) != list(range(n_terminals)):
+        raise ValueError(f"decision_order must be a permutation of range({n_terminals})")
     params = cfg.strategy
-    direct = cfg.measurement_mode is MeasurementMode.DIRECT
-    counts_pre = dict(state.counts)
+    ledgers = state.ledgers
+    counts_pre = state.counts
     gen_time = t * cfg.cycle_length
     # (delay, plr, jitter) at the pre-decision loads; every phase below reads it.
     curves = {net: perf_at(cfg.profiles[net], counts_pre[net]) for net in ALL_NETWORKS}
+    penalty = {net: 0.0 for net in ALL_NETWORKS}
+    if cfg.disturbance is not None and cfg.disturbance.active_at(t):
+        penalty[cfg.disturbance.network] = cfg.disturbance.delta_e
 
-    # Phases 1-3: broadcast, deliver, measure.
-    if not direct:
-        assert state.ledgers is not None
-        for ledger in state.ledgers:
+    if ledgers is None:
+        # An empty network has no one to measure, so it scores from the prior.
+        shared_evals = {
+            net: evaluate_network(curves[net] if counts_pre[net] else None,
+                                  cfg.profiles[net], params, penalty[net])
+            for net in ALL_NETWORKS
+        }
+    else:
+        for ledger in ledgers:
             ledger.begin_cycle()
         for sender in range(n_terminals):
             net = state.attachment[sender]
@@ -119,43 +128,28 @@ def run_cycle(state: WorldState, cfg: ScenarioConfig,
                     # Delay as reception time minus generation time, the way a
                     # receiver computes it; the float round trip is kept on
                     # purpose, since it shifts the last bits of the delay.
-                    state.ledgers[receiver].record_reception(
+                    ledgers[receiver].record_reception(
                         net, sender, (gen_time + link.delay) - gen_time)
-
-    penalty = {net: 0.0 for net in ALL_NETWORKS}
-    if cfg.disturbance is not None and cfg.disturbance.active_at(t):
-        penalty[cfg.disturbance.network] = cfg.disturbance.delta_e
-
-    shared_evals = None
-    if direct:
-        # An empty network has no one to measure, so it scores from the prior.
-        shared_evals = {
-            net: evaluate_network(curves[net] if counts_pre[net] else None,
-                                  cfg.profiles[net], params, penalty[net])
-            for net in ALL_NETWORKS
-        }
 
     noise_now = (cfg.noise is not None and cfg.noise.amplitude > 0
                  and t % _noise_stride(cfg.noise.frequency_hz, cfg.cycle_length) == 0)
 
-    # Phase 4: all decisions from the common snapshot.
-    order: Sequence[int] = decision_order if decision_order is not None \
-        else range(n_terminals)
-    decisions: list[Decision | None] = [None] * n_terminals
-    score_sum = 0.0
+    # A terminal reads only its own slots, counts_pre, curves and penalty,
+    # and moves only itself, so each decides from the common snapshot.
     game = cfg.strategy_kind is StrategyKind.GAME
-    for i in order:
+    handoffs = 0
+    score_sum = 0.0
+    for i in decision_order:
         rng = state.rngs[i]
         current = state.attachment[i]
-        if direct:
-            assert shared_evals is not None
+        if ledgers is None:
             evals = shared_evals
             # x_dsrc estimates the DSRC population, so an attached terminal
             # counts itself; x_current counts only *heard* senders.
             x_dsrc = counts_pre[NetworkKind.DSRC]
             x_current = counts_pre[current] - 1
         else:
-            ledger = state.ledgers[i]
+            ledger = ledgers[i]
             evals = {
                 net: evaluate_network(ledger.measure(net), cfg.profiles[net],
                                       params, penalty[net])
@@ -168,41 +162,19 @@ def run_cycle(state: WorldState, cfg: ScenarioConfig,
             x_dsrc = max(0, x_dsrc + rng.randint(-cfg.noise.amplitude,
                                                  cfg.noise.amplitude))
         score_sum += evals[current].score
-        view = TerminalView(
-            current=current,
-            x_dsrc=x_dsrc,
-            x_current=x_current,
-            evals=evals,
-            counter_c=state.counters[i],
-        )
-        decisions[i] = decide_game(view, params, rng) if game \
-            else decide_baseline(view)
-
-    # Apply all attachment changes at once; recount.
-    handoffs = 0
-    for i in range(n_terminals):
-        decision = decisions[i]
-        assert decision is not None
+        view = TerminalView(current=current, x_dsrc=x_dsrc, x_current=x_current,
+                            evals=evals, counter_c=state.counters[i])
+        decision = decide_game(view, params, rng) if game else decide_baseline(view)
         state.counters[i] = decision.new_counter_c
         if decision.target is not None:
-            assert decision.target is not state.attachment[i]
+            assert decision.target is not current
             state.attachment[i] = decision.target
             handoffs += 1
-    counts_post = {net: 0 for net in ALL_NETWORKS}
-    for net in state.attachment:
-        counts_post[net] += 1
+
+    counts_post = {net: state.attachment.count(net) for net in ALL_NETWORKS}
     state.counts = counts_post
     if sum(counts_post.values()) != n_terminals:
         raise AssertionError("terminal conservation violated")
-
-    net_delay: dict[NetworkKind, float] = {}
-    net_plr: dict[NetworkKind, float] = {}
-    net_jit: dict[NetworkKind, float] = {}
-    net_score: dict[NetworkKind, float] = {}
-    for net in ALL_NETWORKS:
-        net_delay[net], net_plr[net], net_jit[net] = curves[net]
-        net_score[net] = evaluate_network(curves[net], cfg.profiles[net],
-                                          params, penalty[net]).score
 
     record = CycleRecord(
         cycle=t,
@@ -210,10 +182,12 @@ def run_cycle(state: WorldState, cfg: ScenarioConfig,
         counts=counts_post,
         handoffs=handoffs,
         avg_score=score_sum / n_terminals,
-        net_score=net_score,
-        net_delay=net_delay,
-        net_plr=net_plr,
-        net_jit=net_jit,
+        net_score={net: evaluate_network(curves[net], cfg.profiles[net],
+                                         params, penalty[net]).score
+                   for net in ALL_NETWORKS},
+        net_delay={net: delay for net, (delay, _, _) in curves.items()},
+        net_plr={net: plr for net, (_, plr, _) in curves.items()},
+        net_jit={net: jit for net, (_, _, jit) in curves.items()},
     )
     state.cycle = t + 1
     return state, record

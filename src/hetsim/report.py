@@ -58,6 +58,8 @@ def detect_convergence(handoffs_series: list[int], threshold: int = DEFAULT_THRE
     """First cycle from which handoffs stay <= threshold for `window` cycles."""
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
+    if threshold < 0:
+        raise ValueError(f"threshold must be >= 0, got {threshold}")
     run = 0
     for idx, value in enumerate(handoffs_series):
         run = run + 1 if value <= threshold else 0

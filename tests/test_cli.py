@@ -1,12 +1,16 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from hetsim.cli import main
 
-SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+ROOT = Path(__file__).resolve().parent.parent
+SCENARIOS = ROOT / "scenarios"
 STEP = str(SCENARIOS / "table2_step.json")
 DISTURBANCE = str(SCENARIOS / "table2_disturbance.json")
 LINEAR = str(SCENARIOS / "linear_delta_e.json")
@@ -99,6 +103,36 @@ def test_convergence_window_below_one_rejected(tmp_path, command, window):
               "-o", str(out), "--convergence-window", window])
     assert exc.value.code == 2
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_negative_convergence_threshold_rejected(tmp_path, command):
+    out = tmp_path / "o.csv"
+    with pytest.raises(SystemExit) as exc:
+        main([command, STEP, "--mode", "direct", "--num-cycles", "3",
+              "-o", str(out), "--convergence-threshold", "-1"])
+    assert exc.value.code == 2
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_closed_stdout_exits_2_without_traceback(tmp_path):
+    # A reader that has gone away, as in `hetsim run ... | head -1`.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    out = tmp_path / "o.csv"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "hetsim.cli", "run", STEP, "--mode", "direct",
+             "--num-cycles", "20", "-o", str(out)],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert out.exists()
+    assert proc.returncode == 2
+    assert b"Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize("command", ["validate", "run"])

@@ -56,6 +56,11 @@ def test_detect_convergence_rejects_bad_window():
         detect_convergence([0], threshold=1, window=0)
 
 
+def test_detect_convergence_rejects_negative_threshold():
+    with pytest.raises(ValueError, match="threshold"):
+        detect_convergence([0], threshold=-1, window=1)
+
+
 def test_detect_convergence_satisfies_defining_predicate():
     import random
     rng = random.Random(4)
