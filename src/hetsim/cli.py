@@ -8,8 +8,9 @@ Subcommands:
 * calibrate  -- check the performance-curve calibration conditions
 * validate   -- report scenario config violations
 
-Exit codes: 0 success, 1 semantic/config error, 2 I/O error. All
-randomness flows from the scenario's seed (or the -s override).
+Exit codes: 0 success, 1 semantic/config error (`_CliError`), 2 I/O
+error (`OSError`) or usage error; `main` is the one place that maps them.
+All randomness flows from the scenario's seed (or the -s override).
 """
 
 from __future__ import annotations
@@ -51,9 +52,7 @@ EXIT_IO = 2
 
 
 class _CliError(Exception):
-    def __init__(self, code: int, message: str):
-        super().__init__(message)
-        self.code = code
+    """A scenario the simulator must refuse; exits 1 with this message."""
 
 
 def int_at_least(minimum: int) -> Callable[[str], int]:
@@ -75,12 +74,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, writes_runs: bool = True) -> None:
+    def add_common(p: argparse.ArgumentParser, writes_runs: bool = True,
+                   picks_strategy: bool = True) -> None:
         p.add_argument("scenario", help="path to the scenario JSON file")
         p.add_argument("-s", "--seed", type=int, default=None,
                        help="override the scenario seed")
-        p.add_argument("--strategy", choices=[k.value for k in StrategyKind],
-                       default=None, help="override the strategy kind")
+        if picks_strategy:  # compare always runs both strategies
+            p.add_argument("--strategy", choices=[k.value for k in StrategyKind],
+                           default=None, help="override the strategy kind")
         p.add_argument("--num-cycles", type=int, default=None,
                        help="override the number of cycles")
         p.add_argument("--mode", choices=[m.value for m in MeasurementMode],
@@ -97,7 +98,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     add_common(sub.add_parser("run", help="run a scenario and write its CSV"))
     add_common(sub.add_parser(
-        "compare", help="run a scenario with both strategies, same seed"))
+        "compare", help="run a scenario with both strategies, same seed"),
+        picks_strategy=False)
     add_common(sub.add_parser(
         "oracle", help="analytic vs simulated equilibrium shift"), writes_runs=False)
 
@@ -113,36 +115,36 @@ def build_parser() -> argparse.ArgumentParser:
 def _load(path: str) -> ScenarioConfig:
     try:
         return load_scenario(path)
-    except FileNotFoundError:
-        raise _CliError(EXIT_IO, f"scenario file not found: {path}") from None
-    except OSError as exc:
-        raise _CliError(EXIT_IO, f"cannot read {path}: {exc}") from None
     except UnicodeDecodeError as exc:
-        raise _CliError(EXIT_CONFIG, f"{path} is not UTF-8 text: {exc}") from None
+        raise _CliError(f"{path} is not UTF-8 text: {exc}") from None
     except json.JSONDecodeError as exc:
-        raise _CliError(EXIT_CONFIG, f"{path} is not valid JSON: {exc}") from None
+        raise _CliError(f"{path} is not valid JSON: {exc}") from None
     except ScenarioFormatError as exc:
-        raise _CliError(EXIT_CONFIG, f"{path}: {exc}") from None
-
-
-def _apply_overrides(cfg: ScenarioConfig, args: argparse.Namespace) -> ScenarioConfig:
-    changes: dict = {}
-    if args.seed is not None:
-        changes["seed"] = args.seed
-    if args.strategy is not None:
-        changes["strategy_kind"] = StrategyKind(args.strategy)
-    if args.num_cycles is not None:
-        changes["num_cycles"] = args.num_cycles
-    if args.mode is not None:
-        changes["measurement_mode"] = MeasurementMode(args.mode)
-    return dataclasses.replace(cfg, **changes) if changes else cfg
+        raise _CliError(f"{path}: {exc}") from None
 
 
 def _check_valid(cfg: ScenarioConfig) -> None:
     violations = validate_config(cfg)
     if violations:
         listing = "\n".join(f"  - {v}" for v in violations)
-        raise _CliError(EXIT_CONFIG, f"invalid scenario:\n{listing}")
+        raise _CliError(f"invalid scenario:\n{listing}")
+
+
+def _scenario(args: argparse.Namespace) -> ScenarioConfig:
+    """The scenario file with the command-line overrides applied, validated."""
+    cfg = _load(args.scenario)
+    changes: dict = {}
+    if args.seed is not None:
+        changes["seed"] = args.seed
+    if getattr(args, "strategy", None) is not None:
+        changes["strategy_kind"] = StrategyKind(args.strategy)
+    if args.num_cycles is not None:
+        changes["num_cycles"] = args.num_cycles
+    if args.mode is not None:
+        changes["measurement_mode"] = MeasurementMode(args.mode)
+    cfg = dataclasses.replace(cfg, **changes)
+    _check_valid(cfg)
+    return cfg
 
 
 def _output_path(args: argparse.Namespace, suffix: str = "") -> Path:
@@ -154,19 +156,10 @@ def _output_path(args: argparse.Namespace, suffix: str = "") -> Path:
     return Path(Path(args.scenario).stem + suffix + ".csv")
 
 
-def _write(records, path: Path) -> None:
-    try:
-        write_csv(records, path)
-    except OSError as exc:
-        raise _CliError(EXIT_IO, str(exc)) from None
-
-
 def cmd_run(args: argparse.Namespace) -> int:
-    cfg = _apply_overrides(_load(args.scenario), args)
-    _check_valid(cfg)
-    records = run_scenario(cfg)
+    records = run_scenario(_scenario(args))
     out = _output_path(args)
-    _write(records, out)
+    write_csv(records, out)
     summary = summarize(records, args.convergence_threshold, args.convergence_window)
     print(f"wrote {out}")
     print(format_summary(summary))
@@ -174,15 +167,12 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    cfg = _apply_overrides(_load(args.scenario), args)
+    cfg = _scenario(args)  # validity does not depend on the strategy kind
     summaries = {}
-    for kind, suffix in ((StrategyKind.GAME, "_game"),
-                         (StrategyKind.BASELINE_MCDM, "_baseline_mcdm")):
-        variant = dataclasses.replace(cfg, strategy_kind=kind)
-        _check_valid(variant)
-        records = run_scenario(variant)
-        out = _output_path(args, suffix)
-        _write(records, out)
+    for kind in StrategyKind:
+        records = run_scenario(dataclasses.replace(cfg, strategy_kind=kind))
+        out = _output_path(args, f"_{kind.value}")
+        write_csv(records, out)
         print(f"wrote {out}")
         summaries[kind] = summarize(records, args.convergence_threshold,
                                     args.convergence_window)
@@ -192,19 +182,14 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    cfg = _apply_overrides(_load(args.scenario), args)
+    cfg = _scenario(args)
     if cfg.disturbance is None:
-        raise _CliError(EXIT_CONFIG,
-                        "scenario has no disturbance; nothing to predict")
-    _check_valid(cfg)
+        raise _CliError("scenario has no disturbance; nothing to predict")
     records = run_scenario(cfg)
 
     disturbed = cfg.disturbance.network
     start = cfg.disturbance.start_cycle
-    if start == 0:
-        pre_counts = dict(cfg.initial_assignment)
-    else:
-        pre_counts = records[start - 1].counts
+    pre_counts = records[start - 1].counts if start else cfg.initial_assignment
     g = pre_counts[disturbed]
     # The switch destination: best-scoring alternative at pre-disturbance loads.
     others = [net for net in ALL_NETWORKS if net is not disturbed]
@@ -313,12 +298,15 @@ def main(argv: list[str] | None = None) -> int:
         sys.stdout.flush()
         return code
     except _CliError as exc:
-        print(str(exc), file=sys.stderr)
-        return exc.code
+        print(exc, file=sys.stderr)
+        return EXIT_CONFIG
     except BrokenPipeError:
         # The reader closed stdout (`| head`). Point it at devnull so the
         # interpreter's flush at exit cannot raise again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_IO
+    except OSError as exc:  # its message names the file
+        print(exc, file=sys.stderr)
         return EXIT_IO
 
 

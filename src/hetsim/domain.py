@@ -10,6 +10,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import sys
 import types
 import typing
 from dataclasses import dataclass
@@ -17,7 +18,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Any, Iterator
 
-from .netmodel import NetworkProfile
+from .netmodel import NetworkProfile, perf_at
 
 MAX_SEED = 2**64 - 1
 
@@ -143,6 +144,9 @@ def validate_config(cfg: ScenarioConfig) -> list[str]:
             v.append(f"initial assignment for {net.value} is negative")
     if cfg.cycle_length <= 0:
         v.append(f"cycle_length must be > 0, got {cfg.cycle_length}")
+    elif 1.0 / cfg.cycle_length > sys.maxsize:  # the longest deque a ledger can keep
+        v.append(f"cycle_length {cfg.cycle_length} is too small: the one-second window "
+                 "of ceil(1 / cycle_length) cycles cannot be kept")
     if cfg.num_cycles < 1:
         v.append(f"num_cycles must be >= 1, got {cfg.num_cycles}")
     if not 0 <= cfg.seed <= MAX_SEED:
@@ -156,8 +160,8 @@ def validate_config(cfg: ScenarioConfig) -> list[str]:
         v.append("rho must be < 1")
     if not 0 <= s.sigma <= 1:
         v.append(f"sigma must be in [0, 1], got {s.sigma}")
-    for name, val in (("f_delay_ref", s.f_delay_ref), ("f_plr_ref", s.f_plr_ref),
-                      ("f_jit_ref", s.f_jit_ref)):
+    refs = (s.f_delay_ref, s.f_plr_ref, s.f_jit_ref)
+    for name, val in zip(("f_delay_ref", "f_plr_ref", "f_jit_ref"), refs):
         if val <= 0:
             v.append(f"{name} must be > 0, got {val}")
     for name, val in (("w_delay", s.w_delay), ("w_plr", s.w_plr), ("w_jit", s.w_jit)):
@@ -185,6 +189,14 @@ def validate_config(cfg: ScenarioConfig) -> list[str]:
             v.append(f"{tag}: cap must be >= 1, got {p.cap}")
         if p.exponent < 1:
             v.append(f"{tag}: exponent must be >= 1, got {p.exponent}")
+        # Curves never fall with load, so the full population bounds every score.
+        if p.cap >= 1 and cfg.total_terminals >= 1 and min(refs) > 0:
+            try:
+                scaled = [m / ref for m, ref in zip(perf_at(p, cfg.total_terminals), refs)]
+            except OverflowError:
+                scaled = [math.inf]
+            if any(map(math.isinf, scaled)):
+                v.append(f"{tag}: load curve overflows at {cfg.total_terminals} terminals")
 
     if cfg.noise is not None:
         if cfg.noise.amplitude < 0:

@@ -106,11 +106,8 @@ def render_csv(records: list[CycleRecord]) -> str:
 
 def write_csv(records: list[CycleRecord], destination: str | Path) -> None:
     """Write one row per cycle; floats rendered with 6 decimal digits."""
-    try:
-        with open(destination, "w", encoding="utf-8", newline="") as fh:
-            fh.write(render_csv(records))
-    except OSError as exc:
-        raise OSError(f"cannot write CSV to {destination}: {exc}") from exc
+    with open(destination, "w", encoding="utf-8", newline="") as fh:
+        fh.write(render_csv(records))
 
 
 def compare(game: RunSummary, baseline: RunSummary) -> ComparisonSummary:

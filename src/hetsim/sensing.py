@@ -38,10 +38,11 @@ class ReceptionLedger:
             raise ValueError(f"cycle_length must be > 0, got {cycle_length}")
         self.trailing_cycles = math.ceil(1.0 / cycle_length)
         # Newest slot last; one {sender: delay} dict per cycle. The window
-        # starts full of silent cycles.
+        # starts with the two silent cycles `measure` reads and fills as
+        # cycles run; a missing slot and a silent one count alike.
         window = max(SENDER_WINDOW_CYCLES, self.trailing_cycles)
         self._slots: dict[NetworkKind, deque[dict[int, float]]] = {
-            net: deque([{} for _ in range(window)], maxlen=window)
+            net: deque([{}, {}], maxlen=window)
             for net in ALL_NETWORKS
         }
 

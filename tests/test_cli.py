@@ -16,8 +16,8 @@ DISTURBANCE = str(SCENARIOS / "table2_disturbance.json")
 LINEAR = str(SCENARIOS / "linear_delta_e.json")
 
 
-def mutated_scenario(tmp_path, name, mutate):
-    doc = json.loads(Path(STEP).read_text())
+def mutated_scenario(tmp_path, name, mutate, base=STEP):
+    doc = json.loads(Path(base).read_text())
     mutate(doc)
     path = tmp_path / name
     path.write_text(json.dumps(doc))
@@ -78,6 +78,35 @@ def test_run_unwritable_output_exits_2(tmp_path, capsys):
     code = main(["run", STEP, "--num-cycles", "5", "-o", str(out)])
     assert code == 2
     assert "x.csv" in capsys.readouterr().err
+
+
+def test_run_strategy_override_changes_csv(tmp_path):
+    game, baseline = tmp_path / "game.csv", tmp_path / "baseline.csv"
+    args = ["run", STEP, "--mode", "direct", "--num-cycles", "30"]
+    assert main(args + ["-o", str(game)]) == 0
+    assert main(args + ["--strategy", "baseline_mcdm", "-o", str(baseline)]) == 0
+    assert game.read_bytes() != baseline.read_bytes()
+
+
+@pytest.mark.parametrize("mutate, violation", [
+    (lambda d: d.update(cycle_length=1e-300), "cycle_length 1e-300 is too small"),
+    (lambda d: d["profiles"]["wifi"].update(a=1e308),
+     "wifi: load curve overflows at 50 terminals"),
+    (lambda d: d["profiles"]["dsrc"].update(cap=1, exponent=200),
+     "dsrc: load curve overflows at 50 terminals"),
+])
+def test_unsimulatable_scenario_refused(tmp_path, capsys, mutate, violation):
+    path = mutated_scenario(tmp_path, "bad.json", mutate)
+    assert main(["validate", path]) == 1
+    printed = capsys.readouterr().out.splitlines()
+    assert len(printed) == 1 and printed[0].startswith(f"violation: {violation}")
+    # Direct mode: a sampled run at a tiny cycle_length would build its ledgers.
+    out = tmp_path / "o.csv"
+    assert main(["run", path, "--mode", "direct", "--num-cycles", "3",
+                 "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert violation in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_unknown_flag_rejected():
@@ -186,6 +215,15 @@ def test_compare_missing_output_dir_exits_2(tmp_path):
     assert main(["compare", STEP, "--num-cycles", "5", "-o", str(out)]) == 2
 
 
+def test_compare_rejects_strategy_flag(tmp_path):
+    # compare always runs both strategies, so the flag would be ignored.
+    with pytest.raises(SystemExit) as exc:
+        main(["compare", STEP, "--mode", "direct", "--num-cycles", "3",
+              "-o", str(tmp_path / "cmp.csv"), "--strategy", "game"])
+    assert exc.value.code == 2
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_oracle_prints_prediction(capsys):
     code = main(["oracle", LINEAR])
     assert code == 0
@@ -198,6 +236,21 @@ def test_oracle_without_disturbance_exits_1(capsys):
     code = main(["oracle", STEP])
     assert code == 1
     assert "disturbance" in capsys.readouterr().err
+
+
+def test_oracle_reports_violations_before_missing_disturbance(tmp_path, capsys):
+    path = mutated_scenario(tmp_path, "bad_rho.json",
+                            lambda d: d["strategy"].update(rho=1.0))
+    assert main(["oracle", path]) == 1
+    assert "rho must be < 1" in capsys.readouterr().err
+
+
+def test_oracle_disturbance_at_cycle_zero_reads_initial_assignment(tmp_path, capsys):
+    path = mutated_scenario(tmp_path, "at_zero.json",
+                            lambda d: d["disturbance"].update(start_cycle=0), base=LINEAR)
+    assert main(["oracle", path]) == 0
+    # The run ends near wifi=23; g must be the initial wifi population.
+    assert "(g=30, partner lte h=15," in capsys.readouterr().out
 
 
 def test_calibrate_shipped_profiles_pass(capsys):

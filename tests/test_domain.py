@@ -18,6 +18,7 @@ from hetsim.domain import (
     StrategyKind,
     StrategyParams,
     load_scenario,
+    save_scenario,
     scenario_from_dict,
     scenario_to_dict,
     validate_config,
@@ -106,6 +107,70 @@ def test_tiny_noise_frequency_rejected(frequency_hz):
         run_scenario(cfg)
 
 
+@pytest.mark.parametrize("cycle_length", [5e-324, 1e-300])
+def test_tiny_cycle_length_rejected(cycle_length):
+    # ceil(1 / cycle_length) is infinite or beyond the longest deque. Direct
+    # mode only: a sampled run would size its reception ledgers by it.
+    cfg = dataclasses.replace(table2_step(), num_cycles=2, cycle_length=cycle_length,
+                              measurement_mode=MeasurementMode.DIRECT)
+    violations = validate_config(cfg)
+    assert len(violations) == 1
+    assert violations[0].startswith(f"cycle_length {cycle_length} is too small")
+    with pytest.raises(ValueError, match="is too small"):
+        run_scenario(cfg)
+
+
+@pytest.mark.parametrize("network, changes", [
+    ("wifi", {"a": 1e308}),                    # the delay curve reaches inf
+    ("dsrc", {"cap": 1, "exponent": 200}),     # (50 / 1) ** 200 raises OverflowError
+])
+def test_overflowing_load_curve_rejected(network, changes):
+    cfg = table2_step()
+    profile = dataclasses.replace(cfg.profiles[NetworkKind(network)], **changes)
+    cfg = dataclasses.replace(cfg, num_cycles=2, measurement_mode=MeasurementMode.DIRECT,
+                              profiles={**cfg.profiles, NetworkKind(network): profile})
+    assert validate_config(cfg) == [f"{network}: load curve overflows at 50 terminals"]
+    with pytest.raises(ValueError, match="load curve overflows"):
+        run_scenario(cfg)
+
+
+def without_wifi_profile(cfg):
+    return dataclasses.replace(cfg, profiles={
+        net: p for net, p in cfg.profiles.items() if net is not NetworkKind.WIFI})
+
+
+def wifi_disturbance(**fields):
+    return lambda cfg: dataclasses.replace(cfg, disturbance=DisturbanceSpec(
+        network=NetworkKind.WIFI, delta_e=0.1, **fields))
+
+
+@pytest.mark.parametrize("mutate, violation", [
+    (lambda c: dataclasses.replace(c, total_terminals=0, initial_assignment={
+        net: 0 for net in ALL_NETWORKS}), "total_terminals must be >= 1, got 0"),
+    (lambda c: replace_at(c, "initial_assignment", {
+        NetworkKind.DSRC: -1, NetworkKind.LTE: 21, NetworkKind.WIFI: 30}),
+     "initial assignment for dsrc is negative"),
+    (lambda c: replace_at(c, "cycle_length", 0.0), "cycle_length must be > 0, got 0.0"),
+    (lambda c: replace_at(c, "seed", -1),
+     "seed must be a 64-bit unsigned integer, got -1"),
+    (lambda c: replace_at(c, "strategy.n_exp", 0), "n_exp must be >= 1, got 0"),
+    (lambda c: replace_at(c, "strategy.rho", -0.1), "rho must be >= 0, got -0.1"),
+    (lambda c: replace_at(c, "strategy.f_plr_ref", 0.0), "f_plr_ref must be > 0, got 0.0"),
+    (lambda c: replace_at(replace_at(c, "strategy.w_delay", -0.1), "strategy.w_plr", 1.0),
+     "w_delay must be >= 0, got -0.1"),
+    (without_wifi_profile, "profile for wifi is missing"),
+    (lambda c: replace_at(c, "profiles.dsrc.g0", 0.0), "dsrc: g0 must be > 0, got 0.0"),
+    (lambda c: replace_at(c, "profiles.lte.h", -0.1), "lte: h must be >= 0, got -0.1"),
+    (lambda c: replace_at(c, "profiles.wifi.exponent", 0.5),
+     "wifi: exponent must be >= 1, got 0.5"),
+    (wifi_disturbance(start_cycle=-1), "disturbance start_cycle must be >= 0, got -1"),
+    (wifi_disturbance(start_cycle=5, duration_cycles=0),
+     "disturbance duration_cycles must be >= 1 or null, got 0"),
+])
+def test_each_violation_named_alone(mutate, violation):
+    assert validate_config(mutate(table2_step())) == [violation]
+
+
 def test_readme_scenario_example_loads():
     readme = (SCENARIOS.parent / "README.md").read_text(encoding="utf-8")
     block = re.search(r"```json\n(.*?)```", readme, re.DOTALL)
@@ -135,6 +200,16 @@ def test_json_round_trip():
     lin = load_scenario(SCENARIOS / "linear_delta_e.json")
     assert scenario_from_dict(scenario_to_dict(lin)) == lin
     assert lin.disturbance.duration_cycles is None
+
+
+def test_save_load_round_trip(tmp_path):
+    cfg = table2_step()
+    path = tmp_path / "saved.json"
+    save_scenario(cfg, path)
+    assert load_scenario(path) == cfg
+    text = path.read_text(encoding="utf-8")
+    assert text.endswith("}\n") and not text.endswith("\n\n")
+    assert '"noise": null' in text
 
 
 @pytest.mark.parametrize("mutate", [
@@ -178,6 +253,18 @@ def test_type_errors_rejected():
     doc = scenario_to_dict(table2_step())
     doc["strategy"] = None
     with pytest.raises(ScenarioFormatError, match="strategy"):
+        scenario_from_dict(doc)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("initial_assignment", [10, 20, 20], "initial_assignment: expected an object"),
+    ("profiles", 3, "profiles: expected an object"),
+    ("cycle_length", "0.1", "cycle_length: expected a number, got '0.1'"),
+])
+def test_json_shape_errors_name_field(field, value, message):
+    doc = scenario_to_dict(table2_step())
+    doc[field] = value
+    with pytest.raises(ScenarioFormatError, match=re.escape(message)):
         scenario_from_dict(doc)
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from hetsim.domain import NetworkKind
@@ -238,3 +240,15 @@ def test_measurements_are_pure():
     first = (led.measure(DSRC), led.distinct_senders(DSRC))
     second = (led.measure(DSRC), led.distinct_senders(DSRC))
     assert first == second
+
+
+def test_window_fills_as_cycles_run():
+    # A 1e-5 s cycle has a 100,000-cycle trailing second; no slot of it may
+    # be allocated before a cycle runs.
+    tracemalloc.start()
+    try:
+        make_ledger(1e-5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
