@@ -52,7 +52,6 @@ from .report import (
 from .sensing import ReceptionLedger
 from .strategy import (
     Decision,
-    TerminalView,
     Trigger,
     decide_baseline,
     decide_game,
@@ -69,7 +68,7 @@ __all__ = [
     "DisturbanceSpec", "LinkSample", "MeasurementMode", "NetEvaluation",
     "NetworkKind", "NetworkProfile", "NoiseSpec", "ReceptionLedger",
     "RunSummary", "ScenarioConfig", "ScenarioFormatError", "StrategyKind",
-    "StrategyParams", "TerminalView", "Trigger", "WorldState", "best_network",
+    "StrategyParams", "Trigger", "WorldState", "best_network",
     "compare", "decide_baseline", "decide_game", "detect_convergence",
     "evaluate_network", "ground_truth_eval",
     "init_state", "load_scenario", "meets_requirements", "net_eva",

@@ -226,7 +226,7 @@ def calibration_report(cfg: ScenarioConfig) -> list[tuple[str, bool, str]]:
 
     decreasing = all(
         eva(p, n + 1) < eva(p, n)
-        for p in (dsrc, lte, wifi) for n in range(0, 200)
+        for p in (dsrc, lte, wifi) for n in range(total)
     )
     rows.append(("decreasing-evaluation", decreasing,
                  "every network's evaluation strictly decreases with load"))

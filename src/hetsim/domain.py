@@ -189,14 +189,23 @@ def validate_config(cfg: ScenarioConfig) -> list[str]:
             v.append(f"{tag}: cap must be >= 1, got {p.cap}")
         if p.exponent < 1:
             v.append(f"{tag}: exponent must be >= 1, got {p.exponent}")
-        # Curves never fall with load, so the full population bounds every score.
+        # Curves never fall with load: at N terminals a measured delay or jitter is
+        # at most top = delay + jitter, the loss estimate below N, and |score| at most
+        # B = 1 + max(metric / ref) + penalty. Runs sum up to max(N, num_cycles) of each.
         if p.cap >= 1 and cfg.total_terminals >= 1 and min(refs) > 0:
+            terms = max(cfg.total_terminals, cfg.num_cycles)
             try:
-                scaled = [m / ref for m, ref in zip(perf_at(p, cfg.total_terminals), refs)]
+                delay, _, jit = perf_at(p, cfg.total_terminals)
+                top = delay + jit
+                bound = 1 + max(top / refs[0], cfg.total_terminals / refs[1], top / refs[2])
+                finite = math.isfinite(max(bound, top) * terms)
             except OverflowError:
-                scaled = [math.inf]
-            if any(map(math.isinf, scaled)):
+                finite = False
+            d = cfg.disturbance
+            if not finite:
                 v.append(f"{tag}: load curve overflows at {cfg.total_terminals} terminals")
+            elif d and d.network is net and not math.isfinite((bound + d.delta_e) * terms):
+                v.append(f"{tag}: disturbance delta_e {d.delta_e} overflows the run's score sums")
 
     if cfg.noise is not None:
         if cfg.noise.amplitude < 0:

@@ -30,7 +30,7 @@ from .domain import (
 from .evaluation import evaluate_network
 from .netmodel import perf_at, sample_link
 from .sensing import ReceptionLedger
-from .strategy import TerminalView, decide_baseline, decide_game
+from .strategy import decide_baseline, decide_game
 
 _MASK64 = 2**64 - 1
 
@@ -162,9 +162,9 @@ def run_cycle(state: WorldState, cfg: ScenarioConfig,
             x_dsrc = max(0, x_dsrc + rng.randint(-cfg.noise.amplitude,
                                                  cfg.noise.amplitude))
         score_sum += evals[current].score
-        view = TerminalView(current=current, x_dsrc=x_dsrc, x_current=x_current,
-                            evals=evals, counter_c=state.counters[i])
-        decision = decide_game(view, params, rng) if game else decide_baseline(view)
+        c = state.counters[i]
+        decision = (decide_game(current, x_dsrc, x_current, evals, c, params, rng)
+                    if game else decide_baseline(current, evals, c))
         state.counters[i] = decision.new_counter_c
         if decision.target is not None:
             assert decision.target is not current

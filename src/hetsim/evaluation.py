@@ -20,16 +20,10 @@ from .netmodel import NetworkProfile, perf_at
 
 @dataclass(frozen=True)
 class NetEvaluation:
-    """One terminal's scoring of one network for one cycle.
-
-    measured is False when the terminal had no usable receptions on the
-    network and the optimistic base-load prior (metrics at load 1) was
-    used instead.
-    """
+    """One terminal's scoring of one network for one cycle."""
 
     score: float
     meets_requirements: bool
-    measured: bool = True
 
 
 def normalize(delay: float, plr: float, jit: float,
@@ -68,12 +62,11 @@ def evaluate_network(metrics: tuple[float, float, float] | None,
     """Build the full evaluation record for one network.
 
     metrics=None means the terminal could not measure the network this
-    cycle; the base-load prior perf_at(profile, 1) stands in (measured
-    flag cleared). A disturbance penalty > 0 inflates each observed
-    metric by penalty times its reference, which lowers the score by
-    exactly `penalty` since the weights sum to one.
+    cycle; the optimistic base-load prior perf_at(profile, 1) stands in.
+    A disturbance penalty > 0 inflates each observed metric by penalty
+    times its reference, which lowers the score by exactly `penalty`
+    since the weights sum to one.
     """
-    measured = metrics is not None
     if metrics is None:
         metrics = perf_at(profile, 1)
     delay, plr, jit = metrics
@@ -84,7 +77,6 @@ def evaluate_network(metrics: tuple[float, float, float] | None,
     return NetEvaluation(
         score=net_eva(normalize(delay, plr, jit, params), params),
         meets_requirements=meets_requirements(delay, plr, jit, params),
-        measured=measured,
     )
 
 

@@ -10,9 +10,9 @@ Two policies share one interface:
 * the conventional single-play baseline, which jumps straight to the
   highest-scoring network every cycle.
 
-All functions are pure given the view and (for the game) the terminal's
-private random stream, so per-cycle decisions can be computed in any
-order.
+All functions are pure given the terminal's own perception and (for the
+game) its private random stream, so per-cycle decisions can be computed
+in any order.
 """
 
 from __future__ import annotations
@@ -23,17 +23,6 @@ from enum import Enum
 
 from .domain import NetworkKind, StrategyParams
 from .evaluation import NetEvaluation, best_network, select_best
-
-
-@dataclass(frozen=True)
-class TerminalView:
-    """Everything one terminal knows when it decides, for one cycle."""
-
-    current: NetworkKind
-    x_dsrc: int
-    x_current: int
-    evals: dict[NetworkKind, NetEvaluation]
-    counter_c: int
 
 
 class Trigger(Enum):
@@ -98,43 +87,45 @@ def update_counter(c: int, met: bool) -> int:
     return c // 2 if met else c + 1
 
 
-def decide_game(view: TerminalView, params: StrategyParams,
-                rng: random.Random) -> Decision:
+def decide_game(current: NetworkKind, x_dsrc: int, x_current: int,
+                evals: dict[NetworkKind, NetEvaluation], counter_c: int,
+                params: StrategyParams, rng: random.Random) -> Decision:
     """One play of the probabilistic handoff game.
 
-    DSRC terminals first relieve overload, then react to degradation;
-    non-DSRC terminals first consider returning to a healthy DSRC with
-    headroom, then react to degradation of their own network. A terminal
-    that passes a probabilistic gate but loses the draw falls through to
-    the next check. The degradation counter is updated on every path that
-    inspects the current network's requirements.
+    x_dsrc and x_current are the populations the terminal perceives on DSRC
+    and on its current network. DSRC terminals first relieve overload, then
+    react to degradation; non-DSRC terminals first consider returning to a
+    healthy DSRC with headroom, then react to degradation of their own
+    network. A terminal that passes a probabilistic gate but loses the draw
+    falls through to the next check. The degradation counter is updated on
+    every path that inspects the current network's requirements.
     """
-    c = view.counter_c
-    dsrc_meets = view.evals[NetworkKind.DSRC].meets_requirements
+    c = counter_c
+    dsrc_meets = evals[NetworkKind.DSRC].meets_requirements
 
-    if view.current is NetworkKind.DSRC:
-        if view.x_dsrc > params.n_exp:
-            if rng.random() < p_overload(view.x_dsrc, params.n_exp, params.rho):
-                target = best_network(view.evals, exclude=NetworkKind.DSRC)
+    if current is NetworkKind.DSRC:
+        if x_dsrc > params.n_exp:
+            if rng.random() < p_overload(x_dsrc, params.n_exp, params.rho):
+                target = best_network(evals, exclude=NetworkKind.DSRC)
                 return Decision(target, c, Trigger.OVERLOAD)
-        x, met = view.x_dsrc, dsrc_meets
+        x, met = x_dsrc, dsrc_meets
     else:
-        if dsrc_meets and view.x_dsrc < params.n_exp:
-            if rng.random() < p_return(view.x_dsrc, view.x_current,
-                                       params.n_exp, params.rho):
+        if dsrc_meets and x_dsrc < params.n_exp:
+            if rng.random() < p_return(x_dsrc, x_current, params.n_exp, params.rho):
                 return Decision(NetworkKind.DSRC, c, Trigger.RETURN_TO_DSRC)
-        x, met = view.x_current, view.evals[view.current].meets_requirements
+        x, met = x_current, evals[current].meets_requirements
 
     c = update_counter(c, met)
     if not met and rng.random() < p_degraded(c, x, params.sigma):
-        target = best_network(view.evals, exclude=view.current)
+        target = best_network(evals, exclude=current)
         return Decision(target, c, Trigger.DEGRADATION)
     return Decision(None, c)
 
 
-def decide_baseline(view: TerminalView) -> Decision:
+def decide_baseline(current: NetworkKind, evals: dict[NetworkKind, NetEvaluation],
+                    counter_c: int) -> Decision:
     """Single-play score chaser: jump to the argmax network, no randomness."""
-    best = select_best(view.evals, view.current)
-    if best is view.current:
-        return Decision(None, view.counter_c)
-    return Decision(best, view.counter_c)
+    best = select_best(evals, current)
+    if best is current:
+        return Decision(None, counter_c)
+    return Decision(best, counter_c)

@@ -294,3 +294,28 @@ def test_validate_reports_each_violation(tmp_path, capsys):
     printed = capsys.readouterr().out
     assert "rho must be < 1" in printed
     assert "assignment sum 55 != 50" in printed
+
+
+def wifi_loss_only(b, scale=1):
+    """Wifi with loss as its only load-dependent metric, on table2_step x scale."""
+    def mutate(doc):
+        doc["total_terminals"] *= scale
+        doc["strategy"]["n_exp"] *= scale
+        for net, count in doc["initial_assignment"].items():
+            doc["initial_assignment"][net] = count * scale
+        for prof in doc["profiles"].values():
+            prof["cap"] *= scale
+        doc["profiles"]["wifi"].update(a=0.0, b=b, h=0.0)
+    return mutate
+
+
+@pytest.mark.parametrize("b, scale, verdict", [
+    # Strictly decreasing over loads 0..50; the loss clamps at 1 only from load 73.
+    (0.3, 1, "PASS"),
+    # N = 400: the loss clamps at 1 from load 260, so the evaluation is flat to 400.
+    (1.5, 8, "FAIL"),
+])
+def test_calibrate_decreasing_checks_loads_up_to_population(tmp_path, capsys, b, scale, verdict):
+    path = mutated_scenario(tmp_path, "wifi_loss.json", wifi_loss_only(b, scale))
+    main(["calibrate", path])
+    assert f"{verdict}  decreasing-evaluation" in capsys.readouterr().out

@@ -134,6 +134,43 @@ def test_overflowing_load_curve_rejected(network, changes):
         run_scenario(cfg)
 
 
+def test_overflowing_score_sum_rejected():
+    # Every metric over its reference is finite (1.56e308 at 50 terminals),
+    # but avg_score sums 50 scores of that size, which overflows to -inf.
+    cfg = table2_step()
+    wifi = dataclasses.replace(cfg.profiles[NetworkKind.WIFI], a=1e307)
+    cfg = dataclasses.replace(cfg, num_cycles=3, measurement_mode=MeasurementMode.DIRECT,
+                              profiles={**cfg.profiles, NetworkKind.WIFI: wifi})
+    assert validate_config(cfg) == ["wifi: load curve overflows at 50 terminals"]
+    with pytest.raises(ValueError, match="load curve overflows"):
+        run_scenario(cfg)
+
+
+def test_overflowing_disturbance_penalty_rejected():
+    # The load curves are tame; the penalty alone drives the scores to -inf.
+    cfg = load_scenario(SCENARIOS / "linear_delta_e.json")
+    cfg = dataclasses.replace(cfg, disturbance=dataclasses.replace(cfg.disturbance,
+                                                                   delta_e=1.7e308))
+    assert validate_config(cfg) == [
+        "wifi: disturbance delta_e 1.7e+308 overflows the run's score sums"]
+    with pytest.raises(ValueError, match="disturbance delta_e"):
+        run_scenario(cfg)
+
+
+def test_overflowing_measured_delay_rejected():
+    # The curve's delay and jitter are each within the bound, but a sampled
+    # delay reaches delay + jitter, so a measured score can exceed the curve's.
+    cfg = table2_step()
+    dsrc = dataclasses.replace(cfg.profiles[NetworkKind.DSRC], cap=1, a=2.2e306, h=2.2e306)
+    cfg = dataclasses.replace(cfg, total_terminals=2, num_cycles=2,
+                              initial_assignment={NetworkKind.DSRC: 2, NetworkKind.LTE: 0,
+                                                  NetworkKind.WIFI: 0},
+                              profiles={**cfg.profiles, NetworkKind.DSRC: dsrc})
+    assert validate_config(cfg) == ["dsrc: load curve overflows at 2 terminals"]
+    with pytest.raises(ValueError, match="load curve overflows"):
+        run_scenario(cfg)
+
+
 def without_wifi_profile(cfg):
     return dataclasses.replace(cfg, profiles={
         net: p for net, p in cfg.profiles.items() if net is not NetworkKind.WIFI})

@@ -174,7 +174,6 @@ def test_evaluate_network_measured():
                              b=0.05, g0=0.002, h=0.05, cap=50)
     metrics = (0.05, 0.025, 0.05)
     ev = evaluate_network(metrics, profile, PARAMS)
-    assert ev.measured
     assert ev.score == pytest.approx(0.5)
     assert ev.meets_requirements
     assert ev.score == net_eva(normalize(*metrics, PARAMS), PARAMS)
@@ -184,7 +183,6 @@ def test_evaluate_network_fallback_prior():
     profile = NetworkProfile(d0=0.06, a=0.12, p0=0.01,
                              b=0.08, g0=0.015, h=0.12, cap=60)
     ev = evaluate_network(None, profile, PARAMS)
-    assert not ev.measured
     ref = evaluate_network(perf_at(profile, 1), profile, PARAMS)
     assert ev.score == ref.score
     assert ev.meets_requirements == ref.meets_requirements

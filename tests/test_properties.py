@@ -1,0 +1,151 @@
+"""Property tests over configs drawn around table2_step.
+
+The growth coefficients (a, b, h) and the disturbance's delta_e span the
+full finite float range, so these tests reach the overflow edge that the
+shipped scenarios never come near. Runs stay small: at most 60 terminals
+and 5 cycles in direct mode, at most 12 terminals in sampled mode.
+"""
+
+import dataclasses
+import math
+from pathlib import Path
+
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import example, given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from hetsim.domain import (  # noqa: E402
+    ALL_NETWORKS,
+    DisturbanceSpec,
+    MeasurementMode,
+    NetworkKind,
+    NoiseSpec,
+    StrategyKind,
+    load_scenario,
+    validate_config,
+)
+from hetsim.engine import init_state, run_cycle, run_scenario  # noqa: E402
+from hetsim.report import render_csv, summarize  # noqa: E402
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+STEP = load_scenario(SCENARIOS / "table2_step.json")
+LINEAR = load_scenario(SCENARIOS / "linear_delta_e.json")
+
+ANY_FLOAT = st.floats()
+NON_NEGATIVE = st.floats(min_value=0.0, allow_infinity=False)
+CHECKS = settings(derandomize=True, deadline=None, max_examples=100)
+
+
+@st.composite
+def configs(draw, mode=None, wild=False):
+    """table2_step with drawn populations, curves, strategy, disturbance, noise.
+
+    wild=True also draws values that break the config's invariants
+    (negative, NaN and infinite floats, out-of-range integers).
+    """
+    coef = ANY_FLOAT if wild else NON_NEGATIVE
+    if mode is None:
+        mode = draw(st.sampled_from(MeasurementMode))
+    n = draw(st.integers(1, 12 if mode is MeasurementMode.SAMPLED else 60))
+    dsrc = draw(st.integers(0, n))
+    lte = draw(st.integers(0, n - dsrc))
+    cycles = draw(st.integers(-1 if wild else 1, 5))
+    profiles = {}
+    for net in ALL_NETWORKS:
+        base = STEP.profiles[net]
+        # Each coefficient and cap keeps its table2_step value or takes a drawn one.
+        changes = {name: draw(st.just(getattr(base, name)) | coef) for name in "abh"}
+        changes["cap"] = draw(st.just(base.cap) | st.integers(-1 if wild else 1, 100))
+        if wild:
+            changes.update(d0=draw(ANY_FLOAT), p0=draw(ANY_FLOAT), g0=draw(ANY_FLOAT),
+                           exponent=draw(ANY_FLOAT))
+        profiles[net] = dataclasses.replace(base, **changes)
+    disturbance = None
+    if draw(st.booleans()):
+        start = draw(st.integers(-1, 5) if wild else st.integers(0, cycles - 1))
+        disturbance = DisturbanceSpec(
+            network=draw(st.sampled_from(ALL_NETWORKS)),
+            delta_e=draw(ANY_FLOAT if wild else NON_NEGATIVE),
+            start_cycle=start,
+            duration_cycles=draw(st.none() | st.integers(0 if wild else 1, 3)))
+    noise = None
+    if draw(st.booleans()):
+        noise = NoiseSpec(amplitude=draw(st.integers(0, 3)),
+                          frequency_hz=draw(ANY_FLOAT if wild else st.sampled_from([5.0, 10.0])))
+    return dataclasses.replace(
+        STEP,
+        total_terminals=n + draw(st.integers(-1, 1)) if wild else n,
+        initial_assignment={NetworkKind.DSRC: dsrc, NetworkKind.LTE: lte,
+                            NetworkKind.WIFI: n - dsrc - lte},
+        num_cycles=cycles,
+        profiles=profiles,
+        seed=draw(st.integers(0, 2**64 - 1)),
+        strategy_kind=draw(st.sampled_from(StrategyKind)),
+        measurement_mode=mode,
+        disturbance=disturbance,
+        noise=noise,
+    )
+
+
+def _floats(record):
+    for field in dataclasses.fields(record):
+        value = getattr(record, field.name)
+        yield from value.values() if isinstance(value, dict) else [value]
+
+
+# Each metric over its reference is finite, but avg_score sums 50 of them.
+BIG_WIFI_DELAY = dataclasses.replace(
+    STEP, num_cycles=3, measurement_mode=MeasurementMode.DIRECT,
+    profiles={**STEP.profiles,
+              NetworkKind.WIFI: dataclasses.replace(STEP.profiles[NetworkKind.WIFI], a=1e307)})
+# The disturbance penalty alone drives every wifi score to about -1.7e308.
+BIG_PENALTY = dataclasses.replace(
+    LINEAR, num_cycles=35, disturbance=dataclasses.replace(LINEAR.disturbance, delta_e=1.7e308))
+# Sampled delays reach delay + jitter, so measured scores exceed the curve's.
+BIG_MEASURED_DELAY = dataclasses.replace(
+    STEP, total_terminals=2, num_cycles=2, seed=19,
+    initial_assignment={NetworkKind.DSRC: 2, NetworkKind.LTE: 0, NetworkKind.WIFI: 0},
+    profiles={net: dataclasses.replace(p, cap=1, a=2.2e306, h=2.2e306)
+              for net, p in STEP.profiles.items()})
+
+
+@CHECKS
+@given(configs(wild=True))
+def test_validate_config_never_raises(cfg):
+    violations = validate_config(cfg)
+    assert all(isinstance(v, str) for v in violations)
+    assert validate_config(cfg) == violations
+
+
+@CHECKS
+@given(configs())
+@example(BIG_WIFI_DELAY)
+@example(BIG_PENALTY)
+@example(BIG_MEASURED_DELAY)
+def test_accepted_config_runs_finite_conserving_and_reproducible(cfg):
+    if validate_config(cfg):
+        with pytest.raises(ValueError, match="invalid scenario"):
+            run_scenario(cfg)
+        return
+    records = run_scenario(cfg)
+    assert len(records) == cfg.num_cycles
+    for record in records:
+        assert sum(record.counts.values()) == cfg.total_terminals
+        assert all(math.isfinite(x) for x in _floats(record)), record
+    assert math.isfinite(summarize(records).mean_avg_score)
+    assert render_csv(run_scenario(cfg)) == render_csv(records)
+
+
+@CHECKS
+@given(configs(mode=MeasurementMode.SAMPLED))
+def test_cycle_zero_truth_agrees_between_modes(cfg):
+    if validate_config(cfg):
+        return
+    direct = dataclasses.replace(cfg, measurement_mode=MeasurementMode.DIRECT)
+    _, sampled_record = run_cycle(init_state(cfg), cfg)
+    _, direct_record = run_cycle(init_state(direct), direct)
+    for field in ("net_score", "net_delay", "net_plr", "net_jit"):
+        assert getattr(sampled_record, field) == getattr(direct_record, field)

@@ -8,7 +8,6 @@ from hetsim.domain import ALL_NETWORKS, NetworkKind, StrategyParams
 from hetsim.evaluation import NetEvaluation
 from hetsim.strategy import (
     Decision,
-    TerminalView,
     Trigger,
     decide_baseline,
     decide_game,
@@ -48,13 +47,8 @@ def view(current=NetworkKind.DSRC, x_dsrc=10, x_current=None, ev=None,
     ev = dict(ev if ev is not None else evals())
     for net, flag in {current: current_meets, NetworkKind.DSRC: dsrc_meets}.items():
         ev[net] = dataclasses.replace(ev[net], meets_requirements=flag)
-    return TerminalView(
-        current=current,
-        x_dsrc=x_dsrc,
-        x_current=x_current if x_current is not None else x_dsrc,
-        evals=ev,
-        counter_c=c,
-    )
+    # The five facts a terminal decides from, in decide_game's order.
+    return (current, x_dsrc, x_current if x_current is not None else x_dsrc, ev, c)
 
 
 # --- probability formulas ---------------------------------------------------
@@ -143,7 +137,7 @@ def test_update_counter_rejects_negative():
 def test_overload_switches_to_best_non_dsrc():
     # p_overload(40, 30, 0.5) = 0.5 * 11 / 41 ~= 0.1341; a draw of 0.05 switches
     v = view(x_dsrc=40, ev=evals(d=0.9, l=0.6, w=0.4))
-    d = decide_game(v, PARAMS, StubRng(0.05))
+    d = decide_game(*v, PARAMS, StubRng(0.05))
     assert d.target is NetworkKind.LTE
     assert d.trigger is Trigger.OVERLOAD
     assert d.new_counter_c == 0  # untouched on the overload path
@@ -151,7 +145,7 @@ def test_overload_switches_to_best_non_dsrc():
 
 def test_quiet_dsrc_halves_counter():
     v = view(x_dsrc=25, dsrc_meets=True, c=4)
-    d = decide_game(v, PARAMS, StubRng())
+    d = decide_game(*v, PARAMS, StubRng())
     assert d.target is None
     assert d.new_counter_c == 2
 
@@ -160,14 +154,14 @@ def test_failed_return_draw_stays():
     # p_return(10, 19, 30, 0.5) = 0.5; a draw of 0.7 fails, current is healthy
     v = view(current=NetworkKind.LTE, x_dsrc=10, x_current=19,
              dsrc_meets=True, current_meets=True, c=0)
-    d = decide_game(v, PARAMS, StubRng(0.7))
+    d = decide_game(*v, PARAMS, StubRng(0.7))
     assert d.target is None
     assert d.trigger is Trigger.NONE
 
 
 def test_successful_return_to_dsrc():
     v = view(current=NetworkKind.LTE, x_dsrc=10, x_current=19, c=5)
-    d = decide_game(v, PARAMS, StubRng(0.3))
+    d = decide_game(*v, PARAMS, StubRng(0.3))
     assert d.target is NetworkKind.DSRC
     assert d.trigger is Trigger.RETURN_TO_DSRC
     assert d.new_counter_c == 5  # return path never inspects requirements
@@ -177,7 +171,7 @@ def test_overload_draw_failure_falls_through_to_degradation():
     # First draw 0.9 fails the overload gate, DSRC is degraded, second draw
     # 0.0 wins the degradation draw.
     v = view(x_dsrc=40, dsrc_meets=False, c=1, ev=evals(l=0.2, w=0.9))
-    d = decide_game(v, PARAMS, StubRng(0.9, 0.0))
+    d = decide_game(*v, PARAMS, StubRng(0.9, 0.0))
     assert d.target is NetworkKind.WIFI
     assert d.trigger is Trigger.DEGRADATION
     assert d.new_counter_c == 2
@@ -185,7 +179,7 @@ def test_overload_draw_failure_falls_through_to_degradation():
 
 def test_degradation_counter_increments_even_when_staying():
     v = view(x_dsrc=20, dsrc_meets=False, c=3)
-    d = decide_game(v, PARAMS, StubRng(0.99))
+    d = decide_game(*v, PARAMS, StubRng(0.99))
     assert d.target is None
     assert d.new_counter_c == 4
 
@@ -195,7 +189,7 @@ def test_non_dsrc_degradation_excludes_current():
              dsrc_meets=True, current_meets=False, c=9,
              ev=evals(d=0.1, l=0.8, w=0.9))
     # x_dsrcty 35 >= n_exp closes the return valve; degradation draw wins
-    d = decide_game(v, PARAMS, StubRng(0.0))
+    d = decide_game(*v, PARAMS, StubRng(0.0))
     assert d.target is NetworkKind.LTE
     assert d.new_counter_c == 10
 
@@ -203,18 +197,18 @@ def test_non_dsrc_degradation_excludes_current():
 def test_non_dsrc_return_valve_needs_healthy_dsrc():
     v = view(current=NetworkKind.LTE, x_dsrc=5, x_current=10,
              dsrc_meets=False, current_meets=True, c=0)
-    d = decide_game(v, PARAMS, StubRng())
+    d = decide_game(*v, PARAMS, StubRng())
     assert d.target is None
 
 
 def test_stay_when_draws_exceed_all_probabilities():
     rng_values = [0.999999] * 2
     v = view(x_dsrc=45, dsrc_meets=False, c=2)
-    d = decide_game(v, PARAMS, StubRng(*rng_values))
+    d = decide_game(*v, PARAMS, StubRng(*rng_values))
     assert d.target is None
     v2 = view(current=NetworkKind.WIFI, x_dsrc=4, x_current=7,
               dsrc_meets=True, current_meets=False, c=2)
-    d2 = decide_game(v2, PARAMS, StubRng(0.999999, 0.999999))
+    d2 = decide_game(*v2, PARAMS, StubRng(0.999999, 0.999999))
     assert d2.target is None
 
 
@@ -230,7 +224,7 @@ def test_game_decision_never_targets_current():
                  current_meets=rng.random() < 0.5,
                  c=rng.randrange(0, 20),
                  ev=evals(d=rng.random(), l=rng.random(), w=rng.random()))
-        d = decide_game(v, PARAMS, rng)
+        d = decide_game(*v, PARAMS, rng)
         assert d.target is not current
         assert d.new_counter_c >= 0
 
@@ -239,23 +233,23 @@ def test_game_decision_never_targets_current():
 
 def test_baseline_switches_to_argmax():
     v = view(ev=evals(d=0.5, l=0.7, w=0.6))
-    d = decide_baseline(v)
+    d = decide_baseline(v[0], v[3], v[4])
     assert d.target is NetworkKind.LTE
 
 
 def test_baseline_stays_when_best():
     v = view(ev=evals(d=0.9, l=0.1, w=0.1))
-    assert decide_baseline(v).target is None
+    assert decide_baseline(v[0], v[3], v[4]).target is None
 
 
 def test_baseline_tie_keeps_current():
     v = view(current=NetworkKind.WIFI, ev=evals(d=0.4, l=0.4, w=0.4))
-    assert decide_baseline(v).target is None
+    assert decide_baseline(v[0], v[3], v[4]).target is None
 
 
 def test_baseline_keeps_counter_untouched():
     v = view(ev=evals(d=0.5, l=0.7, w=0.6), c=7)
-    assert decide_baseline(v).new_counter_c == 7
+    assert decide_baseline(v[0], v[3], v[4]).new_counter_c == 7
 
 
 def test_baseline_scale_invariant():
@@ -266,7 +260,7 @@ def test_baseline_scale_invariant():
         v1 = view(current=current, ev=evals(*scores))
         scale = rng.uniform(0.5, 4.0)
         v2 = view(current=current, ev=evals(*[s * scale for s in scores]))
-        assert decide_baseline(v1).target is decide_baseline(v2).target
+        assert decide_baseline(v1[0], v1[3], v1[4]).target is decide_baseline(v2[0], v2[3], v2[4]).target
 
 
 def test_expected_switchers_is_sigma_c_analytically():
