@@ -11,7 +11,6 @@ from .domain import (
     DisturbanceSpec,
     MeasurementMode,
     NetworkKind,
-    NoiseSpec,
     ScenarioConfig,
     ScenarioFormatError,
     StrategyKind,
@@ -66,7 +65,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ALL_NETWORKS", "ComparisonSummary", "CycleRecord", "Decision",
     "DisturbanceSpec", "LinkSample", "MeasurementMode", "NetEvaluation",
-    "NetworkKind", "NetworkProfile", "NoiseSpec", "ReceptionLedger",
+    "NetworkKind", "NetworkProfile", "ReceptionLedger",
     "RunSummary", "ScenarioConfig", "ScenarioFormatError", "StrategyKind",
     "StrategyParams", "Trigger", "WorldState", "best_network",
     "compare", "decide_baseline", "decide_game", "detect_convergence",

@@ -21,6 +21,10 @@ from typing import Any, Iterator
 from .netmodel import NetworkProfile, perf_at
 
 MAX_SEED = 2**64 - 1
+#: Counts, cycles and n_exp meet floats, so none may exceed the largest one.
+FLOAT_MAX = sys.float_info.max
+#: The cycle, in seconds: the 10 Hz period of every terminal's Basic Safety Message.
+CYCLE_S = 0.1
 
 
 class NetworkKind(Enum):
@@ -72,18 +76,6 @@ class StrategyParams:
 
 
 @dataclass(frozen=True)
-class NoiseSpec:
-    """Per-terminal perception noise on the DSRC sender count.
-
-    Each affected cycle, every terminal independently adds an integer
-    drawn uniformly from [-amplitude, +amplitude] to its perceived count.
-    """
-
-    amplitude: int
-    frequency_hz: float
-
-
-@dataclass(frozen=True)
 class DisturbanceSpec:
     """An abrupt evaluation penalty on one network.
 
@@ -116,8 +108,9 @@ class ScenarioConfig:
     seed: int
     strategy_kind: StrategyKind = StrategyKind.GAME
     measurement_mode: MeasurementMode = MeasurementMode.SAMPLED
-    cycle_length: float = 0.1
-    noise: NoiseSpec | None = None
+    #: Each cycle, each terminal adds a uniform integer in [-a, a], a = noise_amplitude,
+    #: to its perceived DSRC count.
+    noise_amplitude: int = 0
     disturbance: DisturbanceSpec | None = None
 
 
@@ -133,6 +126,7 @@ def validate_config(cfg: ScenarioConfig) -> list[str]:
     """
     v: list[str] = []
     s = cfg.strategy
+    non_finite = dict(_non_finite(scenario_to_dict(cfg), ""))
 
     if cfg.total_terminals < 1:
         v.append(f"total_terminals must be >= 1, got {cfg.total_terminals}")
@@ -142,18 +136,21 @@ def validate_config(cfg: ScenarioConfig) -> list[str]:
     for net in ALL_NETWORKS:
         if cfg.initial_assignment.get(net, 0) < 0:
             v.append(f"initial assignment for {net.value} is negative")
-    if cfg.cycle_length <= 0:
-        v.append(f"cycle_length must be > 0, got {cfg.cycle_length}")
-    elif 1.0 / cfg.cycle_length > sys.maxsize:  # the longest deque a ledger can keep
-        v.append(f"cycle_length {cfg.cycle_length} is too small: the one-second window "
-                 "of ceil(1 / cycle_length) cycles cannot be kept")
     if cfg.num_cycles < 1:
         v.append(f"num_cycles must be >= 1, got {cfg.num_cycles}")
+    elif cfg.num_cycles > FLOAT_MAX:
+        v.append(f"num_cycles must be <= {FLOAT_MAX}")
+    if cfg.noise_amplitude < 0:
+        v.append(f"noise_amplitude must be >= 0, got {cfg.noise_amplitude}")
+    elif cfg.noise_amplitude and cfg.total_terminals + cfg.noise_amplitude > FLOAT_MAX:
+        v.append(f"noise_amplitude must be <= {FLOAT_MAX} - total_terminals")
     if not 0 <= cfg.seed <= MAX_SEED:
         v.append(f"seed must be a 64-bit unsigned integer, got {cfg.seed}")
 
     if s.n_exp < 1:
         v.append(f"n_exp must be >= 1, got {s.n_exp}")
+    elif s.n_exp > FLOAT_MAX:
+        v.append(f"n_exp must be <= {FLOAT_MAX}")
     if s.rho < 0:
         v.append(f"rho must be >= 0, got {s.rho}")
     if s.rho >= 1:
@@ -192,7 +189,10 @@ def validate_config(cfg: ScenarioConfig) -> list[str]:
         # Curves never fall with load: at N terminals a measured delay or jitter is
         # at most top = delay + jitter, the loss estimate below N, and |score| at most
         # B = 1 + max(metric / ref) + penalty. Runs sum up to max(N, num_cycles) of each.
-        if p.cap >= 1 and cfg.total_terminals >= 1 and min(refs) > 0:
+        # A value already refused (NaN fails every comparison) is not judged again.
+        if (p.cap >= 1 and cfg.total_terminals >= 1 and cfg.num_cycles <= FLOAT_MAX
+                and all(r > 0 for r in refs)
+                and not any(path.startswith(f"profiles.{tag}.") for path in non_finite)):
             terms = max(cfg.total_terminals, cfg.num_cycles)
             try:
                 delay, _, jit = perf_at(p, cfg.total_terminals)
@@ -204,19 +204,9 @@ def validate_config(cfg: ScenarioConfig) -> list[str]:
             d = cfg.disturbance
             if not finite:
                 v.append(f"{tag}: load curve overflows at {cfg.total_terminals} terminals")
-            elif d and d.network is net and not math.isfinite((bound + d.delta_e) * terms):
+            elif (d and d.network is net and "disturbance.delta_e" not in non_finite
+                  and not math.isfinite((bound + d.delta_e) * terms)):
                 v.append(f"{tag}: disturbance delta_e {d.delta_e} overflows the run's score sums")
-
-    if cfg.noise is not None:
-        if cfg.noise.amplitude < 0:
-            v.append(f"noise amplitude must be >= 0, got {cfg.noise.amplitude}")
-        if cfg.noise.frequency_hz <= 0:
-            v.append(f"noise frequency_hz must be > 0, got {cfg.noise.frequency_hz}")
-        elif cfg.cycle_length > 0:
-            per_cycle = cfg.noise.frequency_hz * cfg.cycle_length
-            if per_cycle == 0 or 1.0 / per_cycle == math.inf:
-                v.append(f"noise frequency_hz {cfg.noise.frequency_hz} is too small: "
-                         "1 / (frequency_hz * cycle_length) is not a finite number of cycles")
 
     if cfg.disturbance is not None:
         d = cfg.disturbance
@@ -231,8 +221,7 @@ def validate_config(cfg: ScenarioConfig) -> list[str]:
             v.append(f"disturbance duration_cycles must be >= 1 or null, "
                      f"got {d.duration_cycles}")
 
-    v.extend(f"{path} must be finite, got {val}"
-             for path, val in _non_finite(scenario_to_dict(cfg), ""))
+    v.extend(f"{path} must be finite, got {val}" for path, val in non_finite.items())
     return v
 
 

@@ -21,6 +21,7 @@ from typing import Callable, Sequence
 
 from .domain import (
     ALL_NETWORKS,
+    CYCLE_S,
     MeasurementMode,
     NetworkKind,
     ScenarioConfig,
@@ -78,13 +79,9 @@ def init_state(cfg: ScenarioConfig) -> WorldState:
     rngs = [random.Random(substream_seed(cfg.seed, i)) for i in range(n)]
     ledgers = None
     if cfg.measurement_mode is MeasurementMode.SAMPLED:
-        ledgers = [ReceptionLedger(cfg.cycle_length) for _ in range(n)]
+        ledgers = [ReceptionLedger() for _ in range(n)]
     return WorldState(cycle=0, attachment=attachment, counters=[0] * n,
                       rngs=rngs, counts=counts, ledgers=ledgers)
-
-
-def _noise_stride(frequency_hz: float, cycle_length: float) -> int:
-    return max(1, round(1.0 / (frequency_hz * cycle_length)))
 
 
 def run_cycle(state: WorldState, cfg: ScenarioConfig,
@@ -99,7 +96,7 @@ def run_cycle(state: WorldState, cfg: ScenarioConfig,
     params = cfg.strategy
     ledgers = state.ledgers
     counts_pre = state.counts
-    gen_time = t * cfg.cycle_length
+    gen_time = t * CYCLE_S
     # (delay, plr, jitter) at the pre-decision loads; every phase below reads it.
     curves = {net: perf_at(cfg.profiles[net], counts_pre[net]) for net in ALL_NETWORKS}
     penalty = {net: 0.0 for net in ALL_NETWORKS}
@@ -131,12 +128,10 @@ def run_cycle(state: WorldState, cfg: ScenarioConfig,
                     ledgers[receiver].record_reception(
                         net, sender, (gen_time + link.delay) - gen_time)
 
-    noise_now = (cfg.noise is not None and cfg.noise.amplitude > 0
-                 and t % _noise_stride(cfg.noise.frequency_hz, cfg.cycle_length) == 0)
-
     # A terminal reads only its own slots, counts_pre, curves and penalty,
     # and moves only itself, so each decides from the common snapshot.
     game = cfg.strategy_kind is StrategyKind.GAME
+    noise = cfg.noise_amplitude
     handoffs = 0
     score_sum = 0.0
     for i in decision_order:
@@ -158,9 +153,8 @@ def run_cycle(state: WorldState, cfg: ScenarioConfig,
             x_dsrc = ledger.distinct_senders(NetworkKind.DSRC) \
                 + (1 if current is NetworkKind.DSRC else 0)
             x_current = ledger.distinct_senders(current)
-        if noise_now:
-            x_dsrc = max(0, x_dsrc + rng.randint(-cfg.noise.amplitude,
-                                                 cfg.noise.amplitude))
+        if noise:
+            x_dsrc = max(0, x_dsrc + rng.randint(-noise, noise))
         score_sum += evals[current].score
         c = state.counters[i]
         decision = (decide_game(current, x_dsrc, x_current, evals, c, params, rng)

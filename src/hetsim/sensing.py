@@ -20,29 +20,26 @@ When the window does not hold the data for all three metrics yet,
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from itertools import islice
 
-from .domain import ALL_NETWORKS, NetworkKind
+from .domain import ALL_NETWORKS, CYCLE_S, NetworkKind
 
 #: Sender-count window, in cycles.
 SENDER_WINDOW_CYCLES = 3
+#: Loss-estimate window, in cycles: the trailing second.
+LOSS_WINDOW_CYCLES = round(1 / CYCLE_S)
 
 
 class ReceptionLedger:
     """Reception history of one terminal (exclusively owned, not shared)."""
 
-    def __init__(self, cycle_length: float):
-        if cycle_length <= 0:
-            raise ValueError(f"cycle_length must be > 0, got {cycle_length}")
-        self.trailing_cycles = math.ceil(1.0 / cycle_length)
+    def __init__(self):
         # Newest slot last; one {sender: delay} dict per cycle. The window
         # starts with the two silent cycles `measure` reads and fills as
         # cycles run; a missing slot and a silent one count alike.
-        window = max(SENDER_WINDOW_CYCLES, self.trailing_cycles)
         self._slots: dict[NetworkKind, deque[dict[int, float]]] = {
-            net: deque([{}, {}], maxlen=window)
+            net: deque([{}, {}], maxlen=LOSS_WINDOW_CYCLES)
             for net in ALL_NETWORKS
         }
 
@@ -77,6 +74,6 @@ class ReceptionLedger:
         if not deltas:
             return None
         n_now = len(current)
-        heard = len(self._heard(network, self.trailing_cycles))
+        heard = len(self._heard(network, LOSS_WINDOW_CYCLES))
         return (sum(current.values()) / n_now, (heard - n_now) / n_now,
                 sum(deltas) / len(deltas))

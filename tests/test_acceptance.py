@@ -15,6 +15,7 @@ import pytest
 from hetsim import ground_truth_eval
 from hetsim.cli import main
 from hetsim.domain import (
+    CYCLE_S,
     MeasurementMode,
     NetworkKind,
     StrategyKind,
@@ -180,7 +181,7 @@ def test_criterion_5_disturbance_stability():
     """
     cfg = load_scenario(SCENARIOS / "table2_disturbance.json")
     cfg = dataclasses.replace(cfg, measurement_mode=MeasurementMode.DIRECT)
-    bucket = round(1.0 / cfg.cycle_length)
+    bucket = round(1.0 / CYCLE_S)
     good = 0
     worst = 0.0
     for seed in range(N_SEEDS):

@@ -89,21 +89,24 @@ def test_run_strategy_override_changes_csv(tmp_path):
 
 
 @pytest.mark.parametrize("mutate, violation", [
-    (lambda d: d.update(cycle_length=1e-300), "cycle_length 1e-300 is too small"),
     (lambda d: d["profiles"]["wifi"].update(a=1e308),
      "wifi: load curve overflows at 50 terminals"),
     (lambda d: d["profiles"]["dsrc"].update(cap=1, exponent=200),
      "dsrc: load curve overflows at 50 terminals"),
+    # Integers beyond the float range would raise OverflowError mid-run.
+    (lambda d: d["strategy"].update(n_exp=10**400),
+     f"n_exp must be <= {sys.float_info.max}"),
+    (lambda d: d.update(num_cycles=10**400), f"num_cycles must be <= {sys.float_info.max}"),
+    (lambda d: d.update(noise_amplitude=10**400),
+     f"noise_amplitude must be <= {sys.float_info.max} - total_terminals"),
 ])
 def test_unsimulatable_scenario_refused(tmp_path, capsys, mutate, violation):
     path = mutated_scenario(tmp_path, "bad.json", mutate)
     assert main(["validate", path]) == 1
     printed = capsys.readouterr().out.splitlines()
     assert len(printed) == 1 and printed[0].startswith(f"violation: {violation}")
-    # Direct mode: a sampled run at a tiny cycle_length would build its ledgers.
     out = tmp_path / "o.csv"
-    assert main(["run", path, "--mode", "direct", "--num-cycles", "3",
-                 "-o", str(out)]) == 1
+    assert main(["run", path, "--mode", "direct", "-o", str(out)]) == 1
     err = capsys.readouterr().err
     assert violation in err and "Traceback" not in err
     assert not out.exists()

@@ -12,7 +12,6 @@ from hetsim.domain import (
     DisturbanceSpec,
     MeasurementMode,
     NetworkKind,
-    NoiseSpec,
     ScenarioConfig,
     ScenarioFormatError,
     StrategyKind,
@@ -83,41 +82,14 @@ def test_weights_must_sum_to_one():
 def test_noise_and_disturbance_validation():
     cfg = table2_step()
     bad = ScenarioConfig(**{**cfg.__dict__,
-                            "noise": NoiseSpec(amplitude=-1, frequency_hz=0.0),
+                            "noise_amplitude": -1,
                             "disturbance": DisturbanceSpec(
                                 network=NetworkKind.WIFI, delta_e=0.0,
                                 start_cycle=500)})
     violations = validate_config(bad)
-    assert any("noise amplitude" in v for v in violations)
-    assert any("frequency_hz" in v for v in violations)
+    assert any("noise_amplitude" in v for v in violations)
     assert any("delta_e" in v for v in violations)
     assert any("start_cycle" in v for v in violations)
-
-
-@pytest.mark.parametrize("frequency_hz", [5e-324, 1e-320])
-def test_tiny_noise_frequency_rejected(frequency_hz):
-    # 1 / (frequency_hz * cycle_length) is 1/0 or overflows: no noise stride.
-    cfg = dataclasses.replace(table2_step(), num_cycles=2,
-                              noise=NoiseSpec(amplitude=2, frequency_hz=frequency_hz))
-    violations = validate_config(cfg)
-    assert len(violations) == 1
-    assert "noise frequency_hz" in violations[0]
-    assert "not a finite number of cycles" in violations[0]
-    with pytest.raises(ValueError, match="not a finite number of cycles"):
-        run_scenario(cfg)
-
-
-@pytest.mark.parametrize("cycle_length", [5e-324, 1e-300])
-def test_tiny_cycle_length_rejected(cycle_length):
-    # ceil(1 / cycle_length) is infinite or beyond the longest deque. Direct
-    # mode only: a sampled run would size its reception ledgers by it.
-    cfg = dataclasses.replace(table2_step(), num_cycles=2, cycle_length=cycle_length,
-                              measurement_mode=MeasurementMode.DIRECT)
-    violations = validate_config(cfg)
-    assert len(violations) == 1
-    assert violations[0].startswith(f"cycle_length {cycle_length} is too small")
-    with pytest.raises(ValueError, match="is too small"):
-        run_scenario(cfg)
 
 
 @pytest.mark.parametrize("network, changes", [
@@ -171,6 +143,18 @@ def test_overflowing_measured_delay_rejected():
         run_scenario(cfg)
 
 
+@pytest.mark.parametrize("scenario, path, value", [
+    ("table2_step", "profiles.dsrc.a", math.inf),
+    ("table2_step", "profiles.dsrc.d0", math.nan),
+    ("linear_delta_e", "disturbance.delta_e", math.nan),
+    ("linear_delta_e", "disturbance.delta_e", math.inf),
+])
+def test_non_finite_value_named_once(scenario, path, value):
+    # The overflow bound does not judge a value the finite check already names.
+    cfg = replace_at(load_scenario(SCENARIOS / f"{scenario}.json"), path, value)
+    assert validate_config(cfg) == [f"{path} must be finite, got {value}"]
+
+
 def without_wifi_profile(cfg):
     return dataclasses.replace(cfg, profiles={
         net: p for net, p in cfg.profiles.items() if net is not NetworkKind.WIFI})
@@ -187,7 +171,7 @@ def wifi_disturbance(**fields):
     (lambda c: replace_at(c, "initial_assignment", {
         NetworkKind.DSRC: -1, NetworkKind.LTE: 21, NetworkKind.WIFI: 30}),
      "initial assignment for dsrc is negative"),
-    (lambda c: replace_at(c, "cycle_length", 0.0), "cycle_length must be > 0, got 0.0"),
+    (lambda c: replace_at(c, "noise_amplitude", -1), "noise_amplitude must be >= 0, got -1"),
     (lambda c: replace_at(c, "seed", -1),
      "seed must be a 64-bit unsigned integer, got -1"),
     (lambda c: replace_at(c, "strategy.n_exp", 0), "n_exp must be >= 1, got 0"),
@@ -246,14 +230,14 @@ def test_save_load_round_trip(tmp_path):
     assert load_scenario(path) == cfg
     text = path.read_text(encoding="utf-8")
     assert text.endswith("}\n") and not text.endswith("\n\n")
-    assert '"noise": null' in text
+    assert '"disturbance": null' in text
 
 
 @pytest.mark.parametrize("mutate", [
     lambda d: d.update(bogus=1),
     lambda d: d["strategy"].update(gamma=0.2),
     lambda d: d["profiles"]["dsrc"].update(slope=1),
-    lambda d: d.update(noise={"amplitude": 1, "frequency_hz": 1, "phase": 0}),
+    lambda d: d.update(noise={"amplitude": 2}),  # the block noise_amplitude replaced
     lambda d: d["initial_assignment"].update(wimax=3),
 ])
 def test_unknown_keys_rejected(mutate):
@@ -296,7 +280,7 @@ def test_type_errors_rejected():
 @pytest.mark.parametrize("field, value, message", [
     ("initial_assignment", [10, 20, 20], "initial_assignment: expected an object"),
     ("profiles", 3, "profiles: expected an object"),
-    ("cycle_length", "0.1", "cycle_length: expected a number, got '0.1'"),
+    ("noise_amplitude", 2.0, "noise_amplitude: expected an integer, got 2.0"),
 ])
 def test_json_shape_errors_name_field(field, value, message):
     doc = scenario_to_dict(table2_step())
@@ -320,8 +304,6 @@ def replace_at(obj, path, value):
     ("strategy.w_delay", math.nan),
     ("strategy.sigma", -math.inf),
     ("profiles.dsrc.a", math.nan),
-    ("cycle_length", math.inf),
-    ("noise.frequency_hz", math.nan),
 ])
 def test_non_finite_numbers_rejected(tmp_path, path, value):
     cfg = replace_at(load_scenario(SCENARIOS / "table2_disturbance.json"), path, value)
@@ -337,12 +319,11 @@ def test_non_finite_numbers_rejected(tmp_path, path, value):
 
 def test_defaults_applied():
     doc = scenario_to_dict(table2_step())
-    del doc["cycle_length"], doc["strategy_kind"], doc["measurement_mode"]
-    del doc["initial_assignment"]["dsrc"], doc["noise"]
+    del doc["strategy_kind"], doc["measurement_mode"]
+    del doc["initial_assignment"]["dsrc"], doc["noise_amplitude"]
     cfg = scenario_from_dict(doc)
     assert cfg.initial_assignment[NetworkKind.DSRC] == 0
-    assert cfg.noise is None
-    assert cfg.cycle_length == 0.1
+    assert cfg.noise_amplitude == 0
     assert cfg.strategy_kind is StrategyKind.GAME
     assert cfg.measurement_mode is MeasurementMode.SAMPLED
 

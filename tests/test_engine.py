@@ -1,10 +1,12 @@
 import dataclasses
+import math
 import random
 from pathlib import Path
 
 import pytest
 
 from hetsim import ground_truth_eval
+from hetsim.evaluation import best_network, evaluate_network, select_best
 from hetsim.domain import (
     ALL_NETWORKS,
     DisturbanceSpec,
@@ -23,6 +25,7 @@ from hetsim.engine import (
 )
 from hetsim.netmodel import NetworkProfile, perf_at
 from hetsim.report import render_csv
+from hetsim.strategy import p_degraded, p_overload, p_return, update_counter
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -220,6 +223,94 @@ def test_predicted_shift_matches_game_simulation():
     tail = records[-30:]
     simulated = 30 - sum(r.counts[NetworkKind.WIFI] for r in tail) / len(tail)
     assert abs(simulated - predicted) <= 2
+
+
+# --- one-step expected-flow oracle (direct mode) ------------------------------
+
+def expected_next_counts(cfg, counter):
+    """Expected post-decision counts of one direct-mode cycle, in closed form.
+
+    Starts from the configured assignment with every terminal's counter at
+    `counter`. All terminals of a network see the same shared evaluations
+    (the base-load prior on an empty network) and the same counts, so each
+    moves with the same probabilities.
+    """
+    counts, params = cfg.initial_assignment, cfg.strategy
+    evals = {net: evaluate_network(perf_at(cfg.profiles[net], counts[net])
+                                   if counts[net] else None, cfg.profiles[net], params)
+             for net in ALL_NETWORKS}
+    x_dsrc = counts[NetworkKind.DSRC]
+    expected = {net: float(n) for net, n in counts.items()}
+    for net in (n for n in ALL_NETWORKS if counts[n]):
+        if cfg.strategy_kind is StrategyKind.BASELINE_MCDM:
+            flows = [(select_best(evals, net), 1.0)]
+        else:
+            if net is NetworkKind.DSRC:
+                x = x_dsrc
+                first = (p_overload(x, params.n_exp, params.rho)
+                         if x > params.n_exp else 0.0)
+                first_target = best_network(evals, exclude=net)
+            else:
+                x = counts[net] - 1
+                first = (p_return(x_dsrc, x, params.n_exp, params.rho)
+                         if evals[NetworkKind.DSRC].meets_requirements
+                         and x_dsrc < params.n_exp else 0.0)
+                first_target = NetworkKind.DSRC
+            # A lost first draw falls through to the degradation check.
+            met = evals[net].meets_requirements
+            degrade = 0.0 if met else p_degraded(update_counter(counter, met), x,
+                                                 params.sigma)
+            flows = [(first_target, first),
+                     (best_network(evals, exclude=net), (1 - first) * degrade)]
+        for target, p in flows:
+            if target is not net:
+                expected[net] -= counts[net] * p
+                expected[target] += counts[net] * p
+    return expected
+
+
+ORACLE_STATES = {
+    "step_start": ((10, 20, 20), 0),   # return to DSRC
+    "empty_dsrc": ((0, 25, 25), 0),    # return and degradation
+    "full_dsrc": ((50, 0, 0), 10),     # overload, then counter-scaled degradation
+}
+
+
+def oracle_cfg(assignment, kind):
+    return step_cfg(initial_assignment=dict(zip(ALL_NETWORKS, assignment)),
+                    num_cycles=1, measurement_mode=MeasurementMode.DIRECT,
+                    strategy_kind=kind)
+
+
+def one_cycle_counts(cfg, counter, seed):
+    state = init_state(dataclasses.replace(cfg, seed=seed))
+    state.counters = [counter] * len(state.counters)
+    return run_cycle(state, cfg)[1].counts
+
+
+@pytest.mark.parametrize("name", ORACLE_STATES)
+def test_game_one_step_flow_matches_closed_form(name):
+    assignment, counter = ORACLE_STATES[name]
+    cfg = oracle_cfg(assignment, StrategyKind.GAME)
+    expected = expected_next_counts(cfg, counter)
+    k = 800
+    runs = [one_cycle_counts(cfg, counter, seed) for seed in range(k)]
+    for net in ALL_NETWORKS:
+        values = [counts[net] for counts in runs]
+        mean = sum(values) / k
+        sd = math.sqrt(sum((v - mean) ** 2 for v in values) / (k - 1))
+        if sd == 0:
+            assert mean == expected[net], net
+        else:
+            z = (mean - expected[net]) / (sd / math.sqrt(k))
+            assert abs(z) < 4, (net, mean, expected[net], z)
+
+
+@pytest.mark.parametrize("name", ORACLE_STATES)
+def test_baseline_one_step_flow_matches_closed_form(name):
+    assignment, counter = ORACLE_STATES[name]
+    cfg = oracle_cfg(assignment, StrategyKind.BASELINE_MCDM)
+    assert one_cycle_counts(cfg, counter, 42) == expected_next_counts(cfg, counter)
 
 
 def test_noise_scenario_conserves_terminals():

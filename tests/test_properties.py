@@ -22,7 +22,6 @@ from hetsim.domain import (  # noqa: E402
     DisturbanceSpec,
     MeasurementMode,
     NetworkKind,
-    NoiseSpec,
     StrategyKind,
     load_scenario,
     validate_config,
@@ -71,10 +70,6 @@ def configs(draw, mode=None, wild=False):
             delta_e=draw(ANY_FLOAT if wild else NON_NEGATIVE),
             start_cycle=start,
             duration_cycles=draw(st.none() | st.integers(0 if wild else 1, 3)))
-    noise = None
-    if draw(st.booleans()):
-        noise = NoiseSpec(amplitude=draw(st.integers(0, 3)),
-                          frequency_hz=draw(ANY_FLOAT if wild else st.sampled_from([5.0, 10.0])))
     return dataclasses.replace(
         STEP,
         total_terminals=n + draw(st.integers(-1, 1)) if wild else n,
@@ -86,7 +81,7 @@ def configs(draw, mode=None, wild=False):
         strategy_kind=draw(st.sampled_from(StrategyKind)),
         measurement_mode=mode,
         disturbance=disturbance,
-        noise=noise,
+        noise_amplitude=draw(st.integers(-3 if wild else 0, 3)),
     )
 
 

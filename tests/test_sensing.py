@@ -1,22 +1,14 @@
-import tracemalloc
-
 import pytest
 
 from hetsim.domain import NetworkKind
-from hetsim.sensing import ReceptionLedger
+from hetsim.sensing import LOSS_WINDOW_CYCLES, ReceptionLedger
 
 DSRC = NetworkKind.DSRC
 LTE = NetworkKind.LTE
 
 
-def make_ledger(cycle_length=0.1):
-    return ReceptionLedger(cycle_length)
-
-
 def test_trailing_second_span():
-    assert make_ledger(0.1).trailing_cycles == 10
-    assert make_ledger(0.3).trailing_cycles == 4
-    assert make_ledger(1.0).trailing_cycles == 1
+    assert LOSS_WINDOW_CYCLES == 10
 
 
 def heard_before(led, senders, net=DSRC):
@@ -27,7 +19,7 @@ def heard_before(led, senders, net=DSRC):
 
 
 def test_record_stores_delay():
-    led = make_ledger()
+    led = ReceptionLedger()
     heard_before(led, [1])
     led.begin_cycle()
     led.record_reception(DSRC, 1, 0.02)
@@ -36,7 +28,7 @@ def test_record_stores_delay():
 
 
 def test_duplicate_sender_keeps_latest():
-    led = make_ledger()
+    led = ReceptionLedger()
     heard_before(led, [1])
     led.begin_cycle()
     led.record_reception(DSRC, 1, 0.02)
@@ -50,14 +42,14 @@ def test_duplicate_sender_keeps_latest():
 
 def test_causality_violation_rejected():
     # A reception before its generation shows up as a negative delay.
-    led = make_ledger()
+    led = ReceptionLedger()
     led.begin_cycle()
     with pytest.raises(ValueError):
         led.record_reception(DSRC, 1, -0.1)
 
 
 def test_distinct_senders_three_cycle_union():
-    led = make_ledger()
+    led = ReceptionLedger()
     led.begin_cycle()  # t-2: empty
     led.begin_cycle()  # t-1: {2, 3}
     led.record_reception(DSRC, 2, 0.02)
@@ -69,7 +61,7 @@ def test_distinct_senders_three_cycle_union():
 
 
 def test_distinct_senders_empty_and_repeat():
-    led = make_ledger()
+    led = ReceptionLedger()
     led.begin_cycle()
     assert led.distinct_senders(DSRC) == 0
     for _ in range(3):
@@ -79,7 +71,7 @@ def test_distinct_senders_empty_and_repeat():
 
 
 def test_window_drops_old_cycles():
-    led = make_ledger()
+    led = ReceptionLedger()
     led.begin_cycle()
     led.record_reception(DSRC, 9, 0.01)
     for _ in range(3):
@@ -88,7 +80,7 @@ def test_window_drops_old_cycles():
 
 
 def test_networks_kept_separate():
-    led = make_ledger()
+    led = ReceptionLedger()
     led.begin_cycle()
     led.record_reception(LTE, 1, 0.05)
     assert led.distinct_senders(LTE) == 1
@@ -96,7 +88,7 @@ def test_networks_kept_separate():
 
 
 def test_measure_delay_mean_and_undefined():
-    led = make_ledger()
+    led = ReceptionLedger()
     heard_before(led, [1, 2])
     led.begin_cycle()
     led.record_reception(DSRC, 1, 0.02)
@@ -107,7 +99,7 @@ def test_measure_delay_mean_and_undefined():
 
 
 def test_measure_delay_singleton():
-    led = make_ledger()
+    led = ReceptionLedger()
     heard_before(led, [5])
     led.begin_cycle()
     led.record_reception(DSRC, 5, 0.05)
@@ -116,7 +108,7 @@ def test_measure_delay_singleton():
 
 
 def test_measure_plr_loss_over_trailing_second():
-    led = make_ledger()
+    led = ReceptionLedger()
     # 10 senders seen over the trailing second, 8 of them this cycle
     heard_before(led, range(10))
     led.begin_cycle()
@@ -127,29 +119,20 @@ def test_measure_plr_loss_over_trailing_second():
 
 
 def test_measure_plr_no_loss():
-    led = make_ledger()
+    led = ReceptionLedger()
     heard_before(led, range(7))
     led.begin_cycle()
     for sender in range(7):
         led.record_reception(DSRC, sender, 0.01)
     _, plr, _ = led.measure(DSRC)
     assert plr == 0.0
-    # trailing second = 1 cycle: the previous cycle's extra sender is outside it
-    led2 = make_ledger(cycle_length=1.0)
-    heard_before(led2, range(7))
-    led2.begin_cycle()
-    for sender in range(6):
-        led2.record_reception(DSRC, sender, 0.5)
-    _, plr, _ = led2.measure(DSRC)
-    assert plr == 0.0
 
 
-@pytest.mark.parametrize("cycle_length", [0.1, 0.3, 1.0])
-def test_measure_plr_trailing_window_boundary(cycle_length):
+def test_measure_plr_trailing_window_boundary():
     # Sender 1 is heard every cycle; sender 2 last `back` cycles before the
     # current one.
     def plr_with_sender_2_heard(back):
-        led = make_ledger(cycle_length)
+        led = ReceptionLedger()
         heard_before(led, [1])
         heard_before(led, [1, 2])
         for _ in range(back):
@@ -157,18 +140,16 @@ def test_measure_plr_trailing_window_boundary(cycle_length):
         _, plr, _ = led.measure(DSRC)
         return plr, led
 
-    trailing = make_ledger(cycle_length).trailing_cycles
-    inside, _ = plr_with_sender_2_heard(trailing - 1)
-    outside, led = plr_with_sender_2_heard(trailing)
-    if trailing > 1:
-        assert inside == 1.0  # (2 heard - 1 now) / 1 now
+    inside, _ = plr_with_sender_2_heard(LOSS_WINDOW_CYCLES - 1)
+    outside, led = plr_with_sender_2_heard(LOSS_WINDOW_CYCLES)
+    assert inside == 1.0  # (2 heard - 1 now) / 1 now
     assert outside == 0.0
-    # the sender window spans 3 cycles whatever the trailing second is
-    assert led.distinct_senders(DSRC) == (2 if trailing < 3 else 1)
+    # the sender window spans 3 cycles, not the trailing second
+    assert led.distinct_senders(DSRC) == 1
 
 
 def test_measure_plr_undefined_when_silent():
-    led = make_ledger()
+    led = ReceptionLedger()
     led.begin_cycle()
     led.record_reception(DSRC, 1, 0.01)
     led.begin_cycle()
@@ -176,7 +157,7 @@ def test_measure_plr_undefined_when_silent():
 
 
 def test_measure_jitter_mean_abs_change():
-    led = make_ledger()
+    led = ReceptionLedger()
     led.begin_cycle()
     led.record_reception(DSRC, 1, 0.02)
     led.record_reception(DSRC, 2, 0.05)
@@ -188,7 +169,7 @@ def test_measure_jitter_mean_abs_change():
 
 
 def test_measure_jitter_constant_delays():
-    led = make_ledger()
+    led = ReceptionLedger()
     for _ in range(2):
         led.begin_cycle()
         led.record_reception(DSRC, 1, 0.02)
@@ -197,7 +178,7 @@ def test_measure_jitter_constant_delays():
 
 
 def test_measure_jitter_undefined_cases():
-    led = make_ledger()
+    led = ReceptionLedger()
     assert led.measure(DSRC) is None  # nothing heard yet
     led.begin_cycle()
     led.record_reception(DSRC, 1, 0.02)
@@ -208,7 +189,7 @@ def test_measure_jitter_undefined_cases():
 
 
 def test_measure_requires_all_three():
-    led = make_ledger()
+    led = ReceptionLedger()
     led.begin_cycle()
     led.record_reception(DSRC, 1, 0.02)
     assert led.measure(DSRC) is None  # jitter undefined on the first cycle
@@ -221,7 +202,7 @@ def test_measure_requires_all_three():
 
 
 def test_adding_reception_never_decreases_distinct_count():
-    led = make_ledger()
+    led = ReceptionLedger()
     led.begin_cycle()
     count = led.distinct_senders(DSRC)
     for sender in (3, 1, 3, 8, 1):
@@ -232,7 +213,7 @@ def test_adding_reception_never_decreases_distinct_count():
 
 
 def test_measurements_are_pure():
-    led = make_ledger()
+    led = ReceptionLedger()
     led.begin_cycle()
     led.record_reception(DSRC, 1, 0.02)
     led.begin_cycle()
@@ -241,14 +222,3 @@ def test_measurements_are_pure():
     second = (led.measure(DSRC), led.distinct_senders(DSRC))
     assert first == second
 
-
-def test_window_fills_as_cycles_run():
-    # A 1e-5 s cycle has a 100,000-cycle trailing second; no slot of it may
-    # be allocated before a cycle runs.
-    tracemalloc.start()
-    try:
-        make_ledger(1e-5)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1_000_000
