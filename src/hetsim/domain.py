@@ -126,7 +126,7 @@ def validate_config(cfg: ScenarioConfig) -> list[str]:
     """
     v: list[str] = []
     s = cfg.strategy
-    non_finite = dict(_non_finite(scenario_to_dict(cfg), ""))
+    non_finite = dict(_non_finite(cfg, ""))
 
     if cfg.total_terminals < 1:
         v.append(f"total_terminals must be >= 1, got {cfg.total_terminals}")
@@ -164,7 +164,8 @@ def validate_config(cfg: ScenarioConfig) -> list[str]:
     for name, val in (("w_delay", s.w_delay), ("w_plr", s.w_plr), ("w_jit", s.w_jit)):
         if val < 0:
             v.append(f"{name} must be >= 0, got {val}")
-    if abs(s.w_delay + s.w_plr + s.w_jit - 1.0) > 1e-9:
+    if (not any(path.startswith("strategy.w_") for path in non_finite)
+            and abs(s.w_delay + s.w_plr + s.w_jit - 1.0) > 1e-9):
         v.append(f"weights must sum to 1, got {s.w_delay + s.w_plr + s.w_jit}")
 
     for net in ALL_NETWORKS:
@@ -192,7 +193,8 @@ def validate_config(cfg: ScenarioConfig) -> list[str]:
         # A value already refused (NaN fails every comparison) is not judged again.
         if (p.cap >= 1 and cfg.total_terminals >= 1 and cfg.num_cycles <= FLOAT_MAX
                 and all(r > 0 for r in refs)
-                and not any(path.startswith(f"profiles.{tag}.") for path in non_finite)):
+                and not any(path.startswith((f"profiles.{tag}.", "strategy.f_"))
+                            for path in non_finite)):
             terms = max(cfg.total_terminals, cfg.num_cycles)
             try:
                 delay, _, jit = perf_at(p, cfg.total_terminals)
@@ -273,13 +275,9 @@ def _from_json(tp: Any, value: Any, path: str) -> Any:
         return value
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioFormatError(f"{path}: expected a number, got {value!r}")
-    try:
-        number = float(value)
-    except OverflowError:  # an integer beyond the float range
-        number = math.inf
-    if not math.isfinite(number):
+    if not -FLOAT_MAX <= value <= FLOAT_MAX:  # NaN, ±inf or an int beyond the float range
         raise ScenarioFormatError(f"{path}: expected a finite number, got {value!r}")
-    return number
+    return float(value)
 
 
 def _to_json(value: Any) -> Any:
@@ -293,13 +291,20 @@ def _to_json(value: Any) -> Any:
     return value
 
 
-def _non_finite(doc: Any, path: str) -> Iterator[tuple[str, float]]:
-    """(dotted path, value) of every NaN or infinite float in a JSON document."""
-    if isinstance(doc, float) and not math.isfinite(doc):
-        yield path, doc
-    elif isinstance(doc, dict):
-        for key, item in doc.items():
-            yield from _non_finite(item, f"{path}.{key}" if path else key)
+def _non_finite(value: Any, path: str, tp: Any = None) -> Iterator[tuple[str, float]]:
+    """(dotted path, value) of every NaN or infinite float in a config, read through
+    its dataclasses and dicts; an int beyond the float range in a float field is ±inf."""
+    if dataclasses.is_dataclass(value):
+        for f in dataclasses.fields(value):  # f.type is "float", as annotations are postponed
+            yield from _non_finite(getattr(value, f.name),
+                                   f"{path}.{f.name}" if path else f.name, f.type)
+    elif isinstance(value, dict):
+        for key, item in value.items():
+            yield from _non_finite(item, f"{path}.{_to_json(key)}")
+    elif isinstance(value, float) and not math.isfinite(value):
+        yield path, value
+    elif tp == "float" and isinstance(value, int) and abs(value) > FLOAT_MAX:
+        yield path, math.inf if value > 0 else -math.inf
 
 
 def scenario_from_dict(data: Any) -> ScenarioConfig:

@@ -87,6 +87,7 @@ def init_state(cfg: ScenarioConfig) -> WorldState:
 def run_cycle(state: WorldState, cfg: ScenarioConfig,
               decision_order: Sequence[int] | None = None) -> tuple[WorldState, CycleRecord]:
     """Advance the world by one cycle and emit its record."""
+    sample = sample_link  # read per call, not at import: the benchmark's tracer replaces it
     t = state.cycle
     n_terminals = len(state.attachment)
     if decision_order is None:
@@ -113,20 +114,18 @@ def run_cycle(state: WorldState, cfg: ScenarioConfig,
     else:
         for ledger in ledgers:
             ledger.begin_cycle()
-        for sender in range(n_terminals):
-            net = state.attachment[sender]
+        hearers = [(rng, ledger.record_reception)
+                   for rng, ledger in zip(state.rngs, ledgers)]
+        for sender, net in enumerate(state.attachment):
             profile = cfg.profiles[net]
             curve = curves[net]
-            for receiver in range(n_terminals):
-                if receiver == sender:
-                    continue
-                link = sample_link(profile, curve, state.rngs[receiver])
+            for rng, record_reception in hearers[:sender] + hearers[sender + 1:]:
+                link = sample(profile, curve, rng)
                 if link.delivered:
                     # Delay as reception time minus generation time, the way a
                     # receiver computes it; the float round trip is kept on
                     # purpose, since it shifts the last bits of the delay.
-                    ledgers[receiver].record_reception(
-                        net, sender, (gen_time + link.delay) - gen_time)
+                    record_reception(net, sender, (gen_time + link.delay) - gen_time)
 
     # A terminal reads only its own slots, counts_pre, curves and penalty,
     # and moves only itself, so each decides from the common snapshot.

@@ -37,7 +37,7 @@ class NetworkProfile:
     exponent: float = 2.0
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class LinkSample:
     """Outcome of one broadcast link: lost, or delivered after `delay`."""
 
@@ -66,6 +66,8 @@ def sample_link(profile: NetworkProfile, curve: tuple[float, float, float],
     """
     delay, plr, jitter = curve
     if rng.random() < plr:
-        return LinkSample(delivered=False)
-    observed = delay + rng.uniform(-jitter, jitter)
-    return LinkSample(delivered=True, delay=max(observed, profile.d0))
+        return LinkSample(False)
+    # rng.uniform(-jitter, jitter) and max(observed, d0), written out: the same
+    # draw and the same float, without two Python-level calls per packet.
+    observed = delay + (-jitter + (jitter + jitter) * rng.random())
+    return LinkSample(True, profile.d0 if profile.d0 > observed else observed)

@@ -54,16 +54,9 @@ class ReceptionLedger:
             raise ValueError(f"reception precedes generation (delay {delay})")
         self._slots[network][-1][sender] = delay
 
-    def _heard(self, network: NetworkKind, cycles: int) -> set[int]:
-        """Senders heard on the network within the newest `cycles` slots."""
-        seen: set[int] = set()
-        for slot in islice(reversed(self._slots[network]), cycles):
-            seen.update(slot)
-        return seen
-
     def distinct_senders(self, network: NetworkKind) -> int:
         """Unique senders heard on the network within the 3-cycle window."""
-        return len(self._heard(network, SENDER_WINDOW_CYCLES))
+        return len(set().union(*islice(reversed(self._slots[network]), SENDER_WINDOW_CYCLES)))
 
     def measure(self, network: NetworkKind) -> tuple[float, float, float] | None:
         """(delay, plr, jitter) as the module describes them, or None unless
@@ -74,6 +67,6 @@ class ReceptionLedger:
         if not deltas:
             return None
         n_now = len(current)
-        heard = len(self._heard(network, LOSS_WINDOW_CYCLES))
+        heard = len(set().union(*self._slots[network]))  # the window is the trailing second
         return (sum(current.values()) / n_now, (heard - n_now) / n_now,
                 sum(deltas) / len(deltas))

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import re
+import typing
 from pathlib import Path
 
 import pytest
@@ -23,6 +24,7 @@ from hetsim.domain import (
     validate_config,
 )
 from hetsim.engine import run_scenario
+from hetsim.netmodel import NetworkProfile
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -153,6 +155,23 @@ def test_non_finite_value_named_once(scenario, path, value):
     # The overflow bound does not judge a value the finite check already names.
     cfg = replace_at(load_scenario(SCENARIOS / f"{scenario}.json"), path, value)
     assert validate_config(cfg) == [f"{path} must be finite, got {value}"]
+
+
+FLOAT_FIELDS = [f"{section}.{f.name}"
+                for section, cls in (("strategy", StrategyParams), ("profiles.wifi", NetworkProfile),
+                                     ("disturbance", DisturbanceSpec))
+                for f in dataclasses.fields(cls) if typing.get_type_hints(cls)[f.name] is float]
+
+
+@pytest.mark.parametrize("path", FLOAT_FIELDS)
+def test_int_beyond_float_range_named_once(path):
+    # A library caller can put an int in a float field. One beyond the float
+    # range is named by its path, never raised on, and judged by no other bound
+    # (the disturbance is on wifi, so its penalty bound is in reach too).
+    cfg = replace_at(load_scenario(SCENARIOS / "linear_delta_e.json"), path, 10**400)
+    named = [v for v in validate_config(cfg)
+             if path in v or "overflows" in v or "weights must" in v]
+    assert named == [f"{path} must be finite, got inf"]
 
 
 def without_wifi_profile(cfg):

@@ -77,6 +77,22 @@ def test_single_terminal_world_is_frozen():
         assert all(r.counts[NetworkKind.DSRC] == 1 for r in records)
 
 
+@pytest.mark.parametrize("split", [(1, 0, 0), (2, 1, 1)], ids=["n1", "n4"])
+def test_no_terminal_hears_itself(split):
+    # Lossless links: each ledger hears every other terminal once, and never
+    # itself; ids 0, 1..2 and 3 are the first, middle and last senders.
+    assignment = dict(zip(ALL_NETWORKS, split))
+    cfg = step_cfg(total_terminals=sum(split), initial_assignment=assignment, num_cycles=1,
+                   profiles={net: dataclasses.replace(p, p0=0.0, b=0.0)
+                             for net, p in step_cfg().profiles.items()})
+    state = init_state(cfg)
+    attachment = list(state.attachment)
+    state, _ = run_cycle(state, cfg)
+    for receiver, ledger in enumerate(state.ledgers):
+        assert {net: ledger.distinct_senders(net) for net in ALL_NETWORKS} == {
+            net: assignment[net] - (attachment[receiver] is net) for net in ALL_NETWORKS}
+
+
 def test_determinism_byte_identical():
     cfg = step_cfg(num_cycles=30)  # sampled mode, full packet pipeline
     assert render_csv(run_scenario(cfg)) == render_csv(run_scenario(cfg))

@@ -114,3 +114,27 @@ def test_sample_link_delivery_rate_matches_plr():
     sigma = (0.75 * 0.25 / trials) ** 0.5
     assert abs(rate - 0.75) <= 3 * sigma
     assert abs(rate - 0.75) <= 0.01
+
+
+def reference_sample_link(p, curve, rng):
+    """The draws and floor sample_link must match, spelled with rng.uniform and max."""
+    delay, plr, jitter = curve
+    if rng.random() < plr:
+        return False, None
+    return True, max(delay + rng.uniform(-jitter, jitter), p.d0)
+
+
+@pytest.mark.parametrize("plr", [0.0, 0.3, 1.0])
+def test_sample_link_matches_reference_draw_for_draw(plr):
+    # delay - jitter = 0.002 < d0, so about 4 in 10 delivered packets hit the floor.
+    p = profile()
+    curve = (0.012, plr, 0.01)
+    fast, ref = random.Random(2024), random.Random(2024)
+    got = [(s.delivered, s.delay) for s in (sample_link(p, curve, fast) for _ in range(10_000))]
+    want = [reference_sample_link(p, curve, ref) for _ in range(10_000)]
+    assert got == want
+    assert fast.getstate() == ref.getstate()
+    delays = [delay for delivered, delay in want if delivered]
+    assert len(delays) == {0.0: 10_000, 0.3: pytest.approx(7_000, abs=300), 1.0: 0}[plr]
+    if delays:
+        assert p.d0 in delays and any(delay > p.d0 for delay in delays)
