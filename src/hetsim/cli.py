@@ -121,6 +121,8 @@ def _load(path: str) -> ScenarioConfig:
         raise _CliError(f"{path} is not valid JSON: {exc}") from None
     except ScenarioFormatError as exc:
         raise _CliError(f"{path}: {exc}") from None
+    except (ValueError, RecursionError) as exc:  # json.load: too many digits; deep nesting
+        raise _CliError(f"{path} cannot be parsed: {exc}") from None
 
 
 def _check_valid(cfg: ScenarioConfig) -> None:
@@ -194,12 +196,12 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     # The switch destination: best-scoring alternative at pre-disturbance loads.
     others = [net for net in ALL_NETWORKS if net is not disturbed]
     partner = max(others, key=lambda net: ground_truth_eval(
-        cfg.profiles[net], pre_counts[net], cfg.strategy))
+        cfg.profiles[net], pre_counts[net]))
     h = pre_counts[partner]
 
     s_predicted = predict_equilibrium_shift(
-        lambda n: ground_truth_eval(cfg.profiles[disturbed], n, cfg.strategy),
-        lambda n: ground_truth_eval(cfg.profiles[partner], n, cfg.strategy),
+        lambda n: ground_truth_eval(cfg.profiles[disturbed], n),
+        lambda n: ground_truth_eval(cfg.profiles[partner], n),
         g, h, cfg.disturbance.delta_e)
 
     tail = records[-min(30, len(records)):]
@@ -215,24 +217,19 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 def calibration_report(cfg: ScenarioConfig) -> list[tuple[str, bool, str]]:
     """Evaluate the curve-calibration conditions; (name, passed, detail) rows."""
-    params = cfg.strategy
     total = cfg.total_terminals
     dsrc, lte, wifi = (cfg.profiles[n] for n in ALL_NETWORKS)
-
-    def eva(profile, n):
-        return ground_truth_eval(profile, n, params)
-
     rows: list[tuple[str, bool, str]] = []
 
     decreasing = all(
-        eva(p, n + 1) < eva(p, n)
+        ground_truth_eval(p, n + 1) < ground_truth_eval(p, n)
         for p in (dsrc, lte, wifi) for n in range(total)
     )
     rows.append(("decreasing-evaluation", decreasing,
                  "every network's evaluation strictly decreases with load"))
 
-    d1, l1, w1 = eva(dsrc, 1), eva(lte, 1), eva(wifi, 1)
-    d_total = eva(dsrc, total)
+    d1, l1, w1 = (ground_truth_eval(p, 1) for p in (dsrc, lte, wifi))
+    d_total = ground_truth_eval(dsrc, total)
     rows.append(("dsrc-best-then-overloaded",
                  d1 > l1 and d1 > w1 and d_total < l1 and d_total < w1,
                  f"dsrc {d1:.3f} tops lte {l1:.3f} / wifi {w1:.3f} at base load "
@@ -242,15 +239,15 @@ def calibration_report(cfg: ScenarioConfig) -> list[tuple[str, bool, str]]:
                  f"lte {l1:.3f} below dsrc {d1:.3f} and wifi {w1:.3f} at load 1"))
 
     overloaded = all(
-        not meets_requirements(*perf_at(p, total), params)
+        not meets_requirements(*perf_at(p, total))
         for p in (dsrc, lte, wifi)
     )
-    n_dsrc = min(params.n_exp, total)
+    n_dsrc = min(cfg.strategy.n_exp, total)
     rest = total - n_dsrc
     split = {NetworkKind.DSRC: n_dsrc, NetworkKind.LTE: rest // 2,
              NetworkKind.WIFI: rest - rest // 2}
     shared = all(
-        meets_requirements(*perf_at(cfg.profiles[net], split[net]), params)
+        meets_requirements(*perf_at(cfg.profiles[net], split[net]))
         for net in ALL_NETWORKS
     )
     rows.append(("no-single-network-carries-all", overloaded,

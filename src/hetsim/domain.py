@@ -25,6 +25,10 @@ MAX_SEED = 2**64 - 1
 FLOAT_MAX = sys.float_info.max
 #: The cycle, in seconds: the 10 Hz period of every terminal's Basic Safety Message.
 CYCLE_S = 0.1
+#: A Basic Safety Message's maximum acceptable delay (s), loss ratio and jitter (s).
+F_DELAY_REF, F_PLR_REF, F_JIT_REF = 0.1, 0.05, 0.1
+#: Weights of the delay, loss and jitter utilities in a network's score; they sum to 1.
+W_DELAY, W_PLR, W_JIT = 0.7, 0.2, 0.1
 
 
 class NetworkKind(Enum):
@@ -56,23 +60,15 @@ class MeasurementMode(Enum):
 
 @dataclass(frozen=True)
 class StrategyParams:
-    """Knobs of the handoff decision: switch probabilities and scoring.
+    """Knobs of the handoff game's switch probabilities.
 
-    n_exp is the target ceiling for DSRC-attached terminals, rho and sigma
-    scale the overload/return and degradation switch probabilities, the
-    f_*_ref values are the maximum acceptable delay / loss / jitter, and
-    the w_* weights combine the three normalized utilities into one score.
+    n_exp is the target ceiling for DSRC-attached terminals; rho and sigma
+    scale the overload/return and degradation switch probabilities.
     """
 
     n_exp: int
     rho: float
     sigma: float
-    f_delay_ref: float = 0.1
-    f_plr_ref: float = 0.05
-    f_jit_ref: float = 0.1
-    w_delay: float = 0.7
-    w_plr: float = 0.2
-    w_jit: float = 0.1
 
 
 @dataclass(frozen=True)
@@ -114,6 +110,18 @@ class ScenarioConfig:
     disturbance: DisturbanceSpec | None = None
 
 
+def _shown(value: Any) -> str:
+    """repr(value), except that an int with more digits than str() may print
+    (sys.get_int_max_str_digits) shows as its sign and number of digits."""
+    try:
+        return repr(value)
+    except ValueError:
+        n = abs(value)
+        digits = int(math.log10(n)) + 1
+        digits += (n >= 10**digits) - (n < 10 ** (digits - 1))  # log10 rounds near 10**k
+        return f"{'-' if value < 0 else ''}<{digits}-digit integer>"
+
+
 class ScenarioFormatError(ValueError):
     """Raised when a scenario document is structurally malformed."""
 
@@ -129,44 +137,35 @@ def validate_config(cfg: ScenarioConfig) -> list[str]:
     non_finite = dict(_non_finite(cfg, ""))
 
     if cfg.total_terminals < 1:
-        v.append(f"total_terminals must be >= 1, got {cfg.total_terminals}")
+        v.append(f"total_terminals must be >= 1, got {_shown(cfg.total_terminals)}")
     assigned = sum(cfg.initial_assignment.get(net, 0) for net in ALL_NETWORKS)
     if assigned != cfg.total_terminals:
-        v.append(f"assignment sum {assigned} != {cfg.total_terminals}")
+        v.append(f"assignment sum {_shown(assigned)} != total_terminals "
+                 f"{_shown(cfg.total_terminals)}")
     for net in ALL_NETWORKS:
         if cfg.initial_assignment.get(net, 0) < 0:
             v.append(f"initial assignment for {net.value} is negative")
     if cfg.num_cycles < 1:
-        v.append(f"num_cycles must be >= 1, got {cfg.num_cycles}")
+        v.append(f"num_cycles must be >= 1, got {_shown(cfg.num_cycles)}")
     elif cfg.num_cycles > FLOAT_MAX:
         v.append(f"num_cycles must be <= {FLOAT_MAX}")
     if cfg.noise_amplitude < 0:
-        v.append(f"noise_amplitude must be >= 0, got {cfg.noise_amplitude}")
+        v.append(f"noise_amplitude must be >= 0, got {_shown(cfg.noise_amplitude)}")
     elif cfg.noise_amplitude and cfg.total_terminals + cfg.noise_amplitude > FLOAT_MAX:
         v.append(f"noise_amplitude must be <= {FLOAT_MAX} - total_terminals")
     if not 0 <= cfg.seed <= MAX_SEED:
-        v.append(f"seed must be a 64-bit unsigned integer, got {cfg.seed}")
+        v.append(f"seed must be a 64-bit unsigned integer, got {_shown(cfg.seed)}")
 
     if s.n_exp < 1:
-        v.append(f"n_exp must be >= 1, got {s.n_exp}")
+        v.append(f"n_exp must be >= 1, got {_shown(s.n_exp)}")
     elif s.n_exp > FLOAT_MAX:
         v.append(f"n_exp must be <= {FLOAT_MAX}")
     if s.rho < 0:
-        v.append(f"rho must be >= 0, got {s.rho}")
+        v.append(f"rho must be >= 0, got {_shown(s.rho)}")
     if s.rho >= 1:
         v.append("rho must be < 1")
     if not 0 <= s.sigma <= 1:
-        v.append(f"sigma must be in [0, 1], got {s.sigma}")
-    refs = (s.f_delay_ref, s.f_plr_ref, s.f_jit_ref)
-    for name, val in zip(("f_delay_ref", "f_plr_ref", "f_jit_ref"), refs):
-        if val <= 0:
-            v.append(f"{name} must be > 0, got {val}")
-    for name, val in (("w_delay", s.w_delay), ("w_plr", s.w_plr), ("w_jit", s.w_jit)):
-        if val < 0:
-            v.append(f"{name} must be >= 0, got {val}")
-    if (not any(path.startswith("strategy.w_") for path in non_finite)
-            and abs(s.w_delay + s.w_plr + s.w_jit - 1.0) > 1e-9):
-        v.append(f"weights must sum to 1, got {s.w_delay + s.w_plr + s.w_jit}")
+        v.append(f"sigma must be in [0, 1], got {_shown(s.sigma)}")
 
     for net in ALL_NETWORKS:
         if net not in cfg.profiles:
@@ -175,55 +174,56 @@ def validate_config(cfg: ScenarioConfig) -> list[str]:
         p = cfg.profiles[net]
         tag = net.value
         if p.d0 <= 0:
-            v.append(f"{tag}: d0 must be > 0, got {p.d0}")
+            v.append(f"{tag}: d0 must be > 0, got {_shown(p.d0)}")
         if p.g0 <= 0:
-            v.append(f"{tag}: g0 must be > 0, got {p.g0}")
+            v.append(f"{tag}: g0 must be > 0, got {_shown(p.g0)}")
         if not 0 <= p.p0 < 1:
-            v.append(f"{tag}: p0 must be in [0, 1), got {p.p0}")
+            v.append(f"{tag}: p0 must be in [0, 1), got {_shown(p.p0)}")
         for name, val in (("a", p.a), ("b", p.b), ("h", p.h)):
             if val < 0:
-                v.append(f"{tag}: {name} must be >= 0, got {val}")
+                v.append(f"{tag}: {name} must be >= 0, got {_shown(val)}")
         if p.cap < 1:
-            v.append(f"{tag}: cap must be >= 1, got {p.cap}")
+            v.append(f"{tag}: cap must be >= 1, got {_shown(p.cap)}")
         if p.exponent < 1:
-            v.append(f"{tag}: exponent must be >= 1, got {p.exponent}")
+            v.append(f"{tag}: exponent must be >= 1, got {_shown(p.exponent)}")
         # Curves never fall with load: at N terminals a measured delay or jitter is
         # at most top = delay + jitter, the loss estimate below N, and |score| at most
         # B = 1 + max(metric / ref) + penalty. Runs sum up to max(N, num_cycles) of each.
         # A value already refused (NaN fails every comparison) is not judged again.
         if (p.cap >= 1 and cfg.total_terminals >= 1 and cfg.num_cycles <= FLOAT_MAX
-                and all(r > 0 for r in refs)
-                and not any(path.startswith((f"profiles.{tag}.", "strategy.f_"))
-                            for path in non_finite)):
+                and not any(path.startswith(f"profiles.{tag}.") for path in non_finite)):
             terms = max(cfg.total_terminals, cfg.num_cycles)
             try:
                 delay, _, jit = perf_at(p, cfg.total_terminals)
                 top = delay + jit
-                bound = 1 + max(top / refs[0], cfg.total_terminals / refs[1], top / refs[2])
+                bound = 1 + max(top / F_DELAY_REF, cfg.total_terminals / F_PLR_REF,
+                                top / F_JIT_REF)
                 finite = math.isfinite(max(bound, top) * terms)
             except OverflowError:
                 finite = False
             d = cfg.disturbance
             if not finite:
-                v.append(f"{tag}: load curve overflows at {cfg.total_terminals} terminals")
+                v.append(f"{tag}: load curve overflows at "
+                         f"{_shown(cfg.total_terminals)} terminals")
             elif (d and d.network is net and "disturbance.delta_e" not in non_finite
                   and not math.isfinite((bound + d.delta_e) * terms)):
-                v.append(f"{tag}: disturbance delta_e {d.delta_e} overflows the run's score sums")
+                v.append(f"{tag}: disturbance delta_e {_shown(d.delta_e)} "
+                         "overflows the run's score sums")
 
     if cfg.disturbance is not None:
         d = cfg.disturbance
         if d.delta_e <= 0:
-            v.append(f"disturbance delta_e must be > 0, got {d.delta_e}")
+            v.append(f"disturbance delta_e must be > 0, got {_shown(d.delta_e)}")
         if d.start_cycle < 0:
-            v.append(f"disturbance start_cycle must be >= 0, got {d.start_cycle}")
+            v.append(f"disturbance start_cycle must be >= 0, got {_shown(d.start_cycle)}")
         elif d.start_cycle >= cfg.num_cycles:
-            v.append(f"disturbance start_cycle {d.start_cycle} is past the run "
-                     f"({cfg.num_cycles} cycles)")
+            v.append(f"disturbance start_cycle {_shown(d.start_cycle)} is past the run "
+                     f"({_shown(cfg.num_cycles)} cycles)")
         if d.duration_cycles is not None and d.duration_cycles < 1:
             v.append(f"disturbance duration_cycles must be >= 1 or null, "
-                     f"got {d.duration_cycles}")
+                     f"got {_shown(d.duration_cycles)}")
 
-    v.extend(f"{path} must be finite, got {val}" for path, val in non_finite.items())
+    v.extend(f"{path} must be finite, got {_shown(val)}" for path, val in non_finite.items())
     return v
 
 
@@ -268,15 +268,15 @@ def _from_json(tp: Any, value: Any, path: str) -> Any:
             return tp(value)
         except ValueError:
             raise ScenarioFormatError(f"{path}: expected one of "
-                                      f"{[m.value for m in tp]}, got {value!r}") from None
+                                      f"{[m.value for m in tp]}, got {_shown(value)}") from None
     if tp is int:
         if isinstance(value, bool) or not isinstance(value, int):
-            raise ScenarioFormatError(f"{path}: expected an integer, got {value!r}")
+            raise ScenarioFormatError(f"{path}: expected an integer, got {_shown(value)}")
         return value
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ScenarioFormatError(f"{path}: expected a number, got {value!r}")
+        raise ScenarioFormatError(f"{path}: expected a number, got {_shown(value)}")
     if not -FLOAT_MAX <= value <= FLOAT_MAX:  # NaN, ±inf or an int beyond the float range
-        raise ScenarioFormatError(f"{path}: expected a finite number, got {value!r}")
+        raise ScenarioFormatError(f"{path}: expected a finite number, got {_shown(value)}")
     return float(value)
 
 

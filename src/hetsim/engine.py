@@ -108,7 +108,7 @@ def run_cycle(state: WorldState, cfg: ScenarioConfig,
         # An empty network has no one to measure, so it scores from the prior.
         shared_evals = {
             net: evaluate_network(curves[net] if counts_pre[net] else None,
-                                  cfg.profiles[net], params, penalty[net])
+                                  cfg.profiles[net], penalty[net])
             for net in ALL_NETWORKS
         }
     else:
@@ -146,7 +146,7 @@ def run_cycle(state: WorldState, cfg: ScenarioConfig,
             ledger = ledgers[i]
             evals = {
                 net: evaluate_network(ledger.measure(net), cfg.profiles[net],
-                                      params, penalty[net])
+                                      penalty[net])
                 for net in ALL_NETWORKS
             }
             x_dsrc = ledger.distinct_senders(NetworkKind.DSRC) \
@@ -176,7 +176,7 @@ def run_cycle(state: WorldState, cfg: ScenarioConfig,
         handoffs=handoffs,
         avg_score=score_sum / n_terminals,
         net_score={net: evaluate_network(curves[net], cfg.profiles[net],
-                                         params, penalty[net]).score
+                                         penalty[net]).score
                    for net in ALL_NETWORKS},
         net_delay={net: delay for net, (delay, _, _) in curves.items()},
         net_plr={net: plr for net, (_, plr, _) in curves.items()},

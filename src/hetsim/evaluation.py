@@ -3,7 +3,8 @@
 The three raw metrics are mapped to dimensionless utilities by linear
 normalization against the maximum-acceptable references (a metric exactly
 at its reference scores 0, better is positive, worse negative), then
-combined by the configured weights into a single score. A network fails
+combined by the fixed weights into a single score. The references and
+weights are the domain constants F_*_REF and W_*. A network fails
 the performance requirements in a cycle when two or more metrics strictly
 exceed their references. The same scoring applied to the ground-truth
 curve gives ground_truth_eval, the function family the equilibrium oracle
@@ -14,7 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .domain import ALL_NETWORKS, NetworkKind, StrategyParams
+from .domain import (ALL_NETWORKS, F_DELAY_REF, F_JIT_REF, F_PLR_REF, W_DELAY, W_JIT, W_PLR,
+                     NetworkKind)
 from .netmodel import NetworkProfile, perf_at
 
 
@@ -26,38 +28,33 @@ class NetEvaluation:
     meets_requirements: bool
 
 
-def normalize(delay: float, plr: float, jit: float,
-              params: StrategyParams) -> tuple[float, float, float]:
+def normalize(delay: float, plr: float, jit: float) -> tuple[float, float, float]:
     """Map raw (delay, plr, jitter) to utilities in (-inf, 1]."""
     return (
-        (params.f_delay_ref - delay) / params.f_delay_ref,
-        (params.f_plr_ref - plr) / params.f_plr_ref,
-        (params.f_jit_ref - jit) / params.f_jit_ref,
+        (F_DELAY_REF - delay) / F_DELAY_REF,
+        (F_PLR_REF - plr) / F_PLR_REF,
+        (F_JIT_REF - jit) / F_JIT_REF,
     )
 
 
-def net_eva(utilities: tuple[float, float, float], params: StrategyParams) -> float:
+def net_eva(utilities: tuple[float, float, float]) -> float:
     """Weighted sum of the three utilities."""
     u_delay, u_plr, u_jit = utilities
-    return params.w_delay * u_delay + params.w_plr * u_plr + params.w_jit * u_jit
+    return W_DELAY * u_delay + W_PLR * u_plr + W_JIT * u_jit
 
 
-def meets_requirements(delay: float, plr: float, jit: float,
-                       params: StrategyParams) -> bool:
+def meets_requirements(delay: float, plr: float, jit: float) -> bool:
     """False iff at least two metrics strictly exceed their references.
 
     The references are maximum *acceptable* values, so sitting exactly at
     a reference does not count as exceeding it.
     """
-    exceeded = ((delay > params.f_delay_ref)
-                + (plr > params.f_plr_ref)
-                + (jit > params.f_jit_ref))
+    exceeded = (delay > F_DELAY_REF) + (plr > F_PLR_REF) + (jit > F_JIT_REF)
     return exceeded < 2
 
 
 def evaluate_network(metrics: tuple[float, float, float] | None,
                      profile: NetworkProfile,
-                     params: StrategyParams,
                      penalty: float = 0.0) -> NetEvaluation:
     """Build the full evaluation record for one network.
 
@@ -71,18 +68,18 @@ def evaluate_network(metrics: tuple[float, float, float] | None,
         metrics = perf_at(profile, 1)
     delay, plr, jit = metrics
     if penalty:
-        delay += penalty * params.f_delay_ref
-        plr += penalty * params.f_plr_ref
-        jit += penalty * params.f_jit_ref
+        delay += penalty * F_DELAY_REF
+        plr += penalty * F_PLR_REF
+        jit += penalty * F_JIT_REF
     return NetEvaluation(
-        score=net_eva(normalize(delay, plr, jit, params), params),
-        meets_requirements=meets_requirements(delay, plr, jit, params),
+        score=net_eva(normalize(delay, plr, jit)),
+        meets_requirements=meets_requirements(delay, plr, jit),
     )
 
 
-def ground_truth_eval(profile: NetworkProfile, n: int, params: StrategyParams) -> float:
+def ground_truth_eval(profile: NetworkProfile, n: int) -> float:
     """Noise-free score of the network at load n, from its ground-truth curve."""
-    return evaluate_network(perf_at(profile, n), profile, params).score
+    return evaluate_network(perf_at(profile, n), profile).score
 
 
 def best_network(evals: dict[NetworkKind, NetEvaluation],

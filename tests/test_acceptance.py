@@ -16,10 +16,15 @@ from hetsim import ground_truth_eval
 from hetsim.cli import main
 from hetsim.domain import (
     CYCLE_S,
+    F_DELAY_REF,
+    F_JIT_REF,
+    F_PLR_REF,
+    W_DELAY,
+    W_JIT,
+    W_PLR,
     MeasurementMode,
     NetworkKind,
     StrategyKind,
-    StrategyParams,
     load_scenario,
 )
 from hetsim.engine import predict_equilibrium_shift, run_scenario
@@ -102,19 +107,18 @@ def test_criterion_1_formula_oracles():
                 check(p_return(x, x_prime, 30, float(rho)),
                       min(max(raw, Fraction(0)), rho))
 
-    refs = StrategyParams(n_exp=30, rho=0.5, sigma=0.5, f_delay_ref=0.1,
-                          f_plr_ref=0.05, f_jit_ref=0.1)
-    f_d, f_p, f_j = Fraction(1, 10), Fraction(1, 20), Fraction(1, 10)
-    w_d, w_p, w_j = Fraction(7, 10), Fraction(2, 10), Fraction(1, 10)
+    # The decimal values the constants are written as, not their binary floats.
+    f_d, f_p, f_j = (Fraction(str(r)) for r in (F_DELAY_REF, F_PLR_REF, F_JIT_REF))
+    w_d, w_p, w_j = (Fraction(str(w)) for w in (W_DELAY, W_PLR, W_JIT))
     metric_grid = [Fraction(n, 200) for n in (0, 3, 10, 21, 40)]
     for delay in metric_grid:
         for plr in metric_grid[:3]:
             for jit in metric_grid:
-                u = normalize(float(delay), float(plr), float(jit), refs)
+                u = normalize(float(delay), float(plr), float(jit))
                 exact_u = ((f_d - delay) / f_d, (f_p - plr) / f_p, (f_j - jit) / f_j)
                 for got, exact in zip(u, exact_u):
                     check(got, exact)
-                check(net_eva(u, refs),
+                check(net_eva(u),
                       w_d * exact_u[0] + w_p * exact_u[1] + w_j * exact_u[2])
 
     for c in range(0, 25):
@@ -224,10 +228,8 @@ def test_criterion_6_equilibrium_oracle():
     assert cases >= 20
 
     cfg = load_scenario(SCENARIOS / "linear_delta_e.json")
-    f_a = lambda n: ground_truth_eval(cfg.profiles[NetworkKind.WIFI], n,
-                                      cfg.strategy)
-    f_b = lambda n: ground_truth_eval(cfg.profiles[NetworkKind.LTE], n,
-                                      cfg.strategy)
+    f_a = lambda n: ground_truth_eval(cfg.profiles[NetworkKind.WIFI], n)
+    f_b = lambda n: ground_truth_eval(cfg.profiles[NetworkKind.LTE], n)
     g = cfg.initial_assignment[NetworkKind.WIFI]
     h = cfg.initial_assignment[NetworkKind.LTE]
     predicted = predict_equilibrium_shift(f_a, f_b, g, h,

@@ -64,6 +64,7 @@ def test_run_malformed_json_exits_1(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
     assert main(["run", str(path)]) == 1
+    assert "is not valid JSON" in capsys.readouterr().err
 
 
 def test_run_unknown_key_exits_1(tmp_path, capsys):
@@ -71,6 +72,15 @@ def test_run_unknown_key_exits_1(tmp_path, capsys):
                             lambda d: d.update(extra_knob=1))
     assert main(["run", path]) == 1
     assert "extra_knob" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["f_delay_ref", "f_plr_ref", "f_jit_ref",
+                                 "w_delay", "w_plr", "w_jit"])
+def test_removed_scoring_key_refused(tmp_path, capsys, key):
+    # The references and weights are constants now; a file that still sets one is refused.
+    path = mutated_scenario(tmp_path, "old.json", lambda d: d["strategy"].update({key: 0.1}))
+    assert main(["validate", path]) == 1
+    assert key in capsys.readouterr().err
 
 
 def test_run_unwritable_output_exits_2(tmp_path, capsys):
@@ -176,6 +186,20 @@ def test_non_utf8_scenario_exits_1(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert str(path) in err
     assert "UTF-8" in err
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("text", [
+    Path(STEP).read_text().replace('"seed": 42', '"seed": 1' + "0" * 5000),
+    '{"strategy": ' + "[" * 100_000 + "]" * 100_000 + "}",
+], ids=["5001-digit-int", "nested-100000-deep"])
+def test_unparsable_scenario_exits_1_naming_file(tmp_path, capsys, command, text):
+    # json.load raises a plain ValueError past the int digit limit and RecursionError
+    # on deep nesting; neither is a JSONDecodeError.
+    path = tmp_path / "unparsable.json"
+    path.write_text(text)
+    assert main([command, str(path)]) == 1
+    assert str(path) in capsys.readouterr().err
 
 
 def test_unknown_subcommand_rejected():
@@ -296,7 +320,7 @@ def test_validate_reports_each_violation(tmp_path, capsys):
     assert main(["validate", path]) == 1
     printed = capsys.readouterr().out
     assert "rho must be < 1" in printed
-    assert "assignment sum 55 != 50" in printed
+    assert "assignment sum 55 != total_terminals 50" in printed
 
 
 def wifi_loss_only(b, scale=1):

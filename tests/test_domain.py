@@ -57,7 +57,7 @@ def test_assignment_sum_mismatch_reported():
     assignment[NetworkKind.WIFI] = 25
     bad = ScenarioConfig(**{**cfg.__dict__, "initial_assignment": assignment})
     violations = validate_config(bad)
-    assert violations == ["assignment sum 55 != 50"]
+    assert violations == ["assignment sum 55 != total_terminals 50"]
 
 
 def test_rho_at_one_reported():
@@ -70,15 +70,6 @@ def test_rho_at_one_reported():
 def test_validate_is_pure():
     cfg = table2_step()
     assert validate_config(cfg) == validate_config(cfg)
-
-
-def test_weights_must_sum_to_one():
-    cfg = table2_step()
-    bad = ScenarioConfig(**{**cfg.__dict__,
-                            "strategy": StrategyParams(n_exp=30, rho=0.5, sigma=0.5,
-                                                       w_delay=0.6, w_plr=0.2,
-                                                       w_jit=0.1)})
-    assert any("weights must sum to 1" in v for v in validate_config(bad))
 
 
 def test_noise_and_disturbance_validation():
@@ -170,7 +161,7 @@ def test_int_beyond_float_range_named_once(path):
     # (the disturbance is on wifi, so its penalty bound is in reach too).
     cfg = replace_at(load_scenario(SCENARIOS / "linear_delta_e.json"), path, 10**400)
     named = [v for v in validate_config(cfg)
-             if path in v or "overflows" in v or "weights must" in v]
+             if path in v or "overflows" in v]
     assert named == [f"{path} must be finite, got inf"]
 
 
@@ -195,9 +186,11 @@ def wifi_disturbance(**fields):
      "seed must be a 64-bit unsigned integer, got -1"),
     (lambda c: replace_at(c, "strategy.n_exp", 0), "n_exp must be >= 1, got 0"),
     (lambda c: replace_at(c, "strategy.rho", -0.1), "rho must be >= 0, got -0.1"),
-    (lambda c: replace_at(c, "strategy.f_plr_ref", 0.0), "f_plr_ref must be > 0, got 0.0"),
-    (lambda c: replace_at(replace_at(c, "strategy.w_delay", -0.1), "strategy.w_plr", 1.0),
-     "w_delay must be >= 0, got -0.1"),
+    # str() refuses an int over 4300 digits; its sign and digit count are printed.
+    (lambda c: replace_at(c, "seed", 10**5000 - 1),
+     "seed must be a 64-bit unsigned integer, got <5000-digit integer>"),
+    (lambda c: replace_at(c, "strategy.n_exp", -10**5000),
+     "n_exp must be >= 1, got -<5001-digit integer>"),
     (without_wifi_profile, "profile for wifi is missing"),
     (lambda c: replace_at(c, "profiles.dsrc.g0", 0.0), "dsrc: g0 must be > 0, got 0.0"),
     (lambda c: replace_at(c, "profiles.lte.h", -0.1), "lte: h must be >= 0, got -0.1"),
@@ -209,6 +202,20 @@ def wifi_disturbance(**fields):
 ])
 def test_each_violation_named_alone(mutate, violation):
     assert validate_config(mutate(table2_step())) == [violation]
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("path", [
+    "seed", "total_terminals", "num_cycles", "noise_amplitude", "strategy.n_exp",
+    "strategy.rho", "disturbance.start_cycle", "disturbance.duration_cycles"])
+def test_huge_int_named_not_raised(path, sign):
+    cfg = replace_at(wifi_disturbance(start_cycle=5, duration_cycles=3)(table2_step()),
+                     path, sign * 10**5000)
+    violations = validate_config(cfg)
+    if (path, sign) == ("disturbance.duration_cycles", 1):
+        assert violations == []  # a disturbance may outlast the run
+    else:
+        assert any(path.rpartition(".")[2] in v for v in violations)
 
 
 def test_readme_scenario_example_loads():
@@ -290,6 +297,9 @@ def test_type_errors_rejected():
     doc["strategy"]["rho"] = 10**400
     with pytest.raises(ScenarioFormatError, match=r"strategy\.rho"):
         scenario_from_dict(doc)
+    doc["strategy"]["rho"] = -10**5000
+    with pytest.raises(ScenarioFormatError, match=r"strategy\.rho: .* -<5001-digit integer>"):
+        scenario_from_dict(doc)
     doc = scenario_to_dict(table2_step())
     doc["strategy"] = None
     with pytest.raises(ScenarioFormatError, match="strategy"):
@@ -320,7 +330,6 @@ def replace_at(obj, path, value):
 
 @pytest.mark.parametrize("path, value", [
     ("strategy.rho", math.nan),
-    ("strategy.w_delay", math.nan),
     ("strategy.sigma", -math.inf),
     ("profiles.dsrc.a", math.nan),
 ])

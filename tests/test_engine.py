@@ -150,7 +150,7 @@ def test_direct_mode_records_ground_truth():
         assert records[0].net_plr[net] == pytest.approx(plr, abs=1e-15)
         assert records[0].net_jit[net] == pytest.approx(jit, abs=1e-15)
         assert records[0].net_score[net] == pytest.approx(
-            ground_truth_eval(cfg.profiles[net], count, cfg.strategy), abs=1e-15)
+            ground_truth_eval(cfg.profiles[net], count), abs=1e-15)
 
 
 def test_single_terminal_avg_score_is_ground_truth():
@@ -159,7 +159,7 @@ def test_single_terminal_avg_score_is_ground_truth():
                                        NetworkKind.WIFI: 0},
                    num_cycles=3, measurement_mode=MeasurementMode.DIRECT)
     records = run_scenario(cfg)
-    expected = ground_truth_eval(cfg.profiles[NetworkKind.DSRC], 1, cfg.strategy)
+    expected = ground_truth_eval(cfg.profiles[NetworkKind.DSRC], 1)
     assert records[0].avg_score == pytest.approx(expected, abs=1e-15)
 
 
@@ -231,8 +231,8 @@ def test_predict_shift_minimizes_residual():
 
 def test_predicted_shift_matches_game_simulation():
     cfg = load_scenario(SCENARIOS / "linear_delta_e.json")
-    f_a = lambda n: ground_truth_eval(cfg.profiles[NetworkKind.WIFI], n, cfg.strategy)
-    f_b = lambda n: ground_truth_eval(cfg.profiles[NetworkKind.LTE], n, cfg.strategy)
+    f_a = lambda n: ground_truth_eval(cfg.profiles[NetworkKind.WIFI], n)
+    f_b = lambda n: ground_truth_eval(cfg.profiles[NetworkKind.LTE], n)
     predicted = predict_equilibrium_shift(f_a, f_b, 30, 15, cfg.disturbance.delta_e)
     records = run_scenario(cfg)
     assert all(r.handoffs == 0 for r in records[:cfg.disturbance.start_cycle])
@@ -253,7 +253,7 @@ def expected_next_counts(cfg, counter):
     """
     counts, params = cfg.initial_assignment, cfg.strategy
     evals = {net: evaluate_network(perf_at(cfg.profiles[net], counts[net])
-                                   if counts[net] else None, cfg.profiles[net], params)
+                                   if counts[net] else None, cfg.profiles[net])
              for net in ALL_NETWORKS}
     x_dsrc = counts[NetworkKind.DSRC]
     expected = {net: float(n) for net, n in counts.items()}

@@ -3,12 +3,8 @@ import random
 import pytest
 
 from hetsim import ground_truth_eval
-from hetsim.domain import StrategyParams
 from hetsim.evaluation import net_eva, normalize
 from hetsim.netmodel import NetworkProfile, perf_at, sample_link
-
-PARAMS = StrategyParams(n_exp=30, rho=0.5, sigma=0.5)
-
 
 def profile(**kw):
     base = dict(d0=0.01, a=0.1, p0=0.02, b=0.05, g0=0.002, h=0.05, cap=50,
@@ -49,7 +45,7 @@ def test_perf_nondecreasing_and_convex():
 
 def test_eval_strictly_decreasing_and_concave():
     p = profile()
-    evals = [ground_truth_eval(p, n, PARAMS) for n in range(0, 203)]
+    evals = [ground_truth_eval(p, n) for n in range(0, 203)]
     for n in range(0, 200):
         assert evals[n + 1] < evals[n]
         # perf convex increasing + affine decreasing normalization
@@ -58,24 +54,24 @@ def test_eval_strictly_decreasing_and_concave():
 
 def test_flat_profile_eval_constant():
     p = profile(a=0.0, b=0.0, h=0.0)
-    assert ground_truth_eval(p, 0, PARAMS) == ground_truth_eval(p, 150, PARAMS)
+    assert ground_truth_eval(p, 0) == ground_truth_eval(p, 150)
 
 
 def test_ground_truth_eval_matches_pipeline():
     p = profile()
     for n in (0, 7, 42):
-        expected = net_eva(normalize(*perf_at(p, n), PARAMS), PARAMS)
-        assert ground_truth_eval(p, n, PARAMS) == expected
+        expected = net_eva(normalize(*perf_at(p, n)))
+        assert ground_truth_eval(p, n) == expected
 
 
 def test_ground_truth_eval_at_thresholds_is_zero():
     p = profile(d0=0.1, a=0.0, p0=0.05, b=0.0, g0=0.1, h=0.0)
-    assert ground_truth_eval(p, 1, PARAMS) == pytest.approx(0.0, abs=1e-15)
+    assert ground_truth_eval(p, 1) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_ground_truth_eval_halfway():
     p = profile(d0=0.05, a=0.0, p0=0.025, b=0.0, g0=0.05, h=0.0)
-    assert ground_truth_eval(p, 1, PARAMS) == pytest.approx(0.5, abs=1e-12)
+    assert ground_truth_eval(p, 1) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_sample_link_certain_loss():
