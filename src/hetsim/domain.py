@@ -31,11 +31,14 @@ F_DELAY_REF, F_PLR_REF, F_JIT_REF = 0.1, 0.05, 0.1
 W_DELAY, W_PLR, W_JIT = 0.7, 0.2, 0.1
 
 
-class NetworkKind(Enum):
+class NetworkKind(str, Enum):
     """The three access networks. DSRC is the default attachment.
 
     The declaration order is the fixed total ordering used for
-    deterministic tie-breaking everywhere in the simulator.
+    deterministic tie-breaking everywhere in the simulator. The str mixin
+    makes members hash and compare as their values, in C, on every
+    network-keyed dict; format a member through .value, since str() and
+    format() of a mixed-in member differ between Python versions.
     """
 
     DSRC = "dsrc"
@@ -116,6 +119,8 @@ def _shown(value: Any) -> str:
     try:
         return repr(value)
     except ValueError:
+        if not isinstance(value, int):  # a container holding such an int
+            return f"<{type(value).__name__} too long to print>"
         n = abs(value)
         digits = int(math.log10(n)) + 1
         digits += (n >= 10**digits) - (n < 10 ** (digits - 1))  # log10 rounds near 10**k
@@ -160,11 +165,14 @@ def validate_config(cfg: ScenarioConfig) -> list[str]:
         v.append(f"n_exp must be >= 1, got {_shown(s.n_exp)}")
     elif s.n_exp > FLOAT_MAX:
         v.append(f"n_exp must be <= {FLOAT_MAX}")
-    if s.rho < 0:
-        v.append(f"rho must be >= 0, got {_shown(s.rho)}")
-    if s.rho >= 1:
-        v.append("rho must be < 1")
-    if not 0 <= s.sigma <= 1:
+    # A value non_finite holds is named once, at the end, and no range check
+    # judges it (NaN fails every comparison, ±inf one side of a range).
+    if "strategy.rho" not in non_finite:
+        if s.rho < 0:
+            v.append(f"rho must be >= 0, got {_shown(s.rho)}")
+        if s.rho >= 1:
+            v.append("rho must be < 1")
+    if "strategy.sigma" not in non_finite and not 0 <= s.sigma <= 1:
         v.append(f"sigma must be in [0, 1], got {_shown(s.sigma)}")
 
     for net in ALL_NETWORKS:
@@ -173,25 +181,26 @@ def validate_config(cfg: ScenarioConfig) -> list[str]:
             continue
         p = cfg.profiles[net]
         tag = net.value
-        if p.d0 <= 0:
+        at = f"profiles.{tag}."
+        if p.d0 <= 0 and at + "d0" not in non_finite:
             v.append(f"{tag}: d0 must be > 0, got {_shown(p.d0)}")
-        if p.g0 <= 0:
+        if p.g0 <= 0 and at + "g0" not in non_finite:
             v.append(f"{tag}: g0 must be > 0, got {_shown(p.g0)}")
-        if not 0 <= p.p0 < 1:
+        if not 0 <= p.p0 < 1 and at + "p0" not in non_finite:
             v.append(f"{tag}: p0 must be in [0, 1), got {_shown(p.p0)}")
         for name, val in (("a", p.a), ("b", p.b), ("h", p.h)):
-            if val < 0:
+            if val < 0 and at + name not in non_finite:
                 v.append(f"{tag}: {name} must be >= 0, got {_shown(val)}")
-        if p.cap < 1:
+        if p.cap < 1 and at + "cap" not in non_finite:
             v.append(f"{tag}: cap must be >= 1, got {_shown(p.cap)}")
-        if p.exponent < 1:
+        if p.exponent < 1 and at + "exponent" not in non_finite:
             v.append(f"{tag}: exponent must be >= 1, got {_shown(p.exponent)}")
         # Curves never fall with load: at N terminals a measured delay or jitter is
         # at most top = delay + jitter, the loss estimate below N, and |score| at most
         # B = 1 + max(metric / ref) + penalty. Runs sum up to max(N, num_cycles) of each.
         # A value already refused (NaN fails every comparison) is not judged again.
         if (p.cap >= 1 and cfg.total_terminals >= 1 and cfg.num_cycles <= FLOAT_MAX
-                and not any(path.startswith(f"profiles.{tag}.") for path in non_finite)):
+                and not any(path.startswith(at) for path in non_finite)):
             terms = max(cfg.total_terminals, cfg.num_cycles)
             try:
                 delay, _, jit = perf_at(p, cfg.total_terminals)
@@ -212,7 +221,7 @@ def validate_config(cfg: ScenarioConfig) -> list[str]:
 
     if cfg.disturbance is not None:
         d = cfg.disturbance
-        if d.delta_e <= 0:
+        if d.delta_e <= 0 and "disturbance.delta_e" not in non_finite:
             v.append(f"disturbance delta_e must be > 0, got {_shown(d.delta_e)}")
         if d.start_cycle < 0:
             v.append(f"disturbance start_cycle must be >= 0, got {_shown(d.start_cycle)}")

@@ -131,6 +131,10 @@ def run_cycle(state: WorldState, cfg: ScenarioConfig,
     # and moves only itself, so each decides from the common snapshot.
     game = cfg.strategy_kind is StrategyKind.GAME
     noise = cfg.noise_amplitude
+    # The noise is rng.randint(-noise, noise), drawn inline the way CPython
+    # 3.10-3.13 draw it: getrandbits(k) redrawn until it falls below width.
+    width = 2 * noise + 1
+    k = width.bit_length()
     handoffs = 0
     score_sum = 0.0
     for i in decision_order:
@@ -153,15 +157,20 @@ def run_cycle(state: WorldState, cfg: ScenarioConfig,
                 + (1 if current is NetworkKind.DSRC else 0)
             x_current = ledger.distinct_senders(current)
         if noise:
-            x_dsrc = max(0, x_dsrc + rng.randint(-noise, noise))
+            r = rng.getrandbits(k)
+            while r >= width:
+                r = rng.getrandbits(k)
+            x_dsrc += r - noise
+            if x_dsrc < 0:
+                x_dsrc = 0
         score_sum += evals[current].score
         c = state.counters[i]
-        decision = (decide_game(current, x_dsrc, x_current, evals, c, params, rng)
-                    if game else decide_baseline(current, evals, c))
-        state.counters[i] = decision.new_counter_c
-        if decision.target is not None:
-            assert decision.target is not current
-            state.attachment[i] = decision.target
+        target, state.counters[i], _ = (
+            decide_game(current, x_dsrc, x_current, evals, c, params, rng)
+            if game else decide_baseline(current, evals, c))
+        if target is not None:
+            assert target is not current
+            state.attachment[i] = target
             handoffs += 1
 
     counts_post = {net: state.attachment.count(net) for net in ALL_NETWORKS}

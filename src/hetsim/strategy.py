@@ -18,8 +18,8 @@ in any order.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .domain import NetworkKind, StrategyParams
 from .evaluation import NetEvaluation, best_network, select_best
@@ -32,8 +32,7 @@ class Trigger(Enum):
     RETURN_TO_DSRC = "return_to_dsrc"
 
 
-@dataclass(frozen=True)
-class Decision:
+class Decision(NamedTuple):
     """Outcome of one decision. target=None means stay put."""
 
     target: NetworkKind | None

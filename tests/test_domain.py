@@ -38,6 +38,20 @@ def test_network_kind_fixed_ordering():
     assert len(NetworkKind) == 3
 
 
+@pytest.mark.parametrize("name", ["table2_step", "table2_disturbance", "linear_delta_e"])
+def test_network_kind_hashes_as_its_value_and_saves_as_it(tmp_path, name):
+    # The str mixin puts network-keyed dicts on the C string hash; members must
+    # still save as their bare values, so a saved scenario reloads and saves to
+    # the same text.
+    assert [hash(net) for net in ALL_NETWORKS] == [hash("dsrc"), hash("lte"), hash("wifi")]
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    save_scenario(load_scenario(SCENARIOS / f"{name}.json"), first)
+    save_scenario(load_scenario(first), second)
+    text = first.read_text(encoding="utf-8")
+    assert second.read_text(encoding="utf-8") == text
+    assert '"dsrc": {' in text and "NetworkKind" not in text
+
+
 def test_public_names_resolve():
     assert [name for name in hetsim.__all__ if not hasattr(hetsim, name)] == []
 
@@ -136,33 +150,33 @@ def test_overflowing_measured_delay_rejected():
         run_scenario(cfg)
 
 
-@pytest.mark.parametrize("scenario, path, value", [
-    ("table2_step", "profiles.dsrc.a", math.inf),
-    ("table2_step", "profiles.dsrc.d0", math.nan),
-    ("linear_delta_e", "disturbance.delta_e", math.nan),
-    ("linear_delta_e", "disturbance.delta_e", math.inf),
-])
-def test_non_finite_value_named_once(scenario, path, value):
-    # The overflow bound does not judge a value the finite check already names.
-    cfg = replace_at(load_scenario(SCENARIOS / f"{scenario}.json"), path, value)
-    assert validate_config(cfg) == [f"{path} must be finite, got {value}"]
-
-
 FLOAT_FIELDS = [f"{section}.{f.name}"
                 for section, cls in (("strategy", StrategyParams), ("profiles.wifi", NetworkProfile),
                                      ("disturbance", DisturbanceSpec))
                 for f in dataclasses.fields(cls) if typing.get_type_hints(cls)[f.name] is float]
 
 
+@pytest.mark.parametrize("scenario, path, value", [
+    ("table2_step", "profiles.dsrc.a", math.inf),
+    ("table2_step", "profiles.dsrc.d0", math.nan),
+] + [("linear_delta_e", path, value)
+     for path in FLOAT_FIELDS for value in (math.inf, -math.inf, math.nan)])
+def test_non_finite_value_named_once(scenario, path, value):
+    # Neither the range checks nor the overflow bound judge a value the finite
+    # check already names.
+    cfg = replace_at(load_scenario(SCENARIOS / f"{scenario}.json"), path, value)
+    assert validate_config(cfg) == [f"{path} must be finite, got {value}"]
+
+
 @pytest.mark.parametrize("path", FLOAT_FIELDS)
 def test_int_beyond_float_range_named_once(path):
     # A library caller can put an int in a float field. One beyond the float
-    # range is named by its path, never raised on, and judged by no other bound
-    # (the disturbance is on wifi, so its penalty bound is in reach too).
-    cfg = replace_at(load_scenario(SCENARIOS / "linear_delta_e.json"), path, 10**400)
-    named = [v for v in validate_config(cfg)
-             if path in v or "overflows" in v]
-    assert named == [f"{path} must be finite, got inf"]
+    # range, of either sign, is named by its path, never raised on, and judged
+    # by no range check or other bound (the disturbance is on wifi, so its
+    # penalty bound is in reach too).
+    for sign in (1, -1):
+        cfg = replace_at(load_scenario(SCENARIOS / "linear_delta_e.json"), path, sign * 10**400)
+        assert validate_config(cfg) == [f"{path} must be finite, got {sign * math.inf}"]
 
 
 def without_wifi_profile(cfg):
@@ -303,6 +317,23 @@ def test_type_errors_rejected():
     doc = scenario_to_dict(table2_step())
     doc["strategy"] = None
     with pytest.raises(ScenarioFormatError, match="strategy"):
+        scenario_from_dict(doc)
+
+
+@pytest.mark.parametrize("path, value", [
+    ("seed", [10**5000]),
+    ("strategy.rho", {"x": -10**5000}),
+])
+def test_huge_int_inside_container_named_not_raised(path, value):
+    # A library caller's dict may hold an int too long to print where the
+    # schema wants a number; the type error still names the field.
+    doc = scenario_to_dict(table2_step())
+    *parents, key = path.split(".")
+    section = doc
+    for parent in parents:
+        section = section[parent]
+    section[key] = value
+    with pytest.raises(ScenarioFormatError, match=rf"^{re.escape(path)}: expected an? "):
         scenario_from_dict(doc)
 
 

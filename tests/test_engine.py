@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from hetsim import ground_truth_eval
+from hetsim import engine, ground_truth_eval
 from hetsim.evaluation import best_network, evaluate_network, select_best
 from hetsim.domain import (
     ALL_NETWORKS,
@@ -25,7 +25,7 @@ from hetsim.engine import (
 )
 from hetsim.netmodel import NetworkProfile, perf_at
 from hetsim.report import render_csv
-from hetsim.strategy import p_degraded, p_overload, p_return, update_counter
+from hetsim.strategy import Decision, p_degraded, p_overload, p_return, update_counter
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -335,6 +335,35 @@ def test_noise_scenario_conserves_terminals():
                               measurement_mode=MeasurementMode.DIRECT)
     for record in run_scenario(cfg):
         assert sum(record.counts.values()) == 50
+
+
+@pytest.mark.parametrize("n_dsrc", [20, 2], ids=["unclipped", "clipped"])
+@pytest.mark.parametrize("amplitude", [1, 3, 4, 7, 8, 15, 16])
+def test_noise_draw_matches_randint_draw_for_draw(monkeypatch, amplitude, n_dsrc):
+    # run_cycle draws the noise inline; it must be rng.randint(-a, a) exactly,
+    # clipped at 0, for widths 2a + 1 on either side of 4, 8, 16 and 32.
+    seen = []
+
+    def stay(current, x_dsrc, x_current, evals, counter_c, params, rng):
+        seen.append(x_dsrc)
+        return Decision(None, counter_c)
+
+    monkeypatch.setattr(engine, "decide_game", stay)
+    rest = 50 - n_dsrc
+    cfg = step_cfg(measurement_mode=MeasurementMode.DIRECT, noise_amplitude=amplitude,
+                   num_cycles=25, initial_assignment={
+                       NetworkKind.DSRC: n_dsrc, NetworkKind.LTE: rest // 2,
+                       NetworkKind.WIFI: rest - rest // 2})
+    state = init_state(cfg)
+    for _ in range(cfg.num_cycles):
+        state, _ = run_cycle(state, cfg)
+    refs = [random.Random(substream_seed(cfg.seed, i)) for i in range(50)]
+    want = [max(0, n_dsrc + ref.randint(-amplitude, amplitude))
+            for _ in range(cfg.num_cycles) for ref in refs]
+    assert seen == want
+    assert [rng.getstate() for rng in state.rngs] == [ref.getstate() for ref in refs]
+    assert max(seen) == n_dsrc + amplitude
+    assert min(seen) == max(0, n_dsrc - amplitude)
 
 
 def test_baseline_oscillates_after_disturbance():
