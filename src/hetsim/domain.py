@@ -38,15 +38,18 @@ class NetworkKind(str, Enum):
     deterministic tie-breaking everywhere in the simulator. The str mixin
     makes members hash and compare as their values, in C, on every
     network-keyed dict; format a member through .value, since str() and
-    format() of a mixed-in member differ between Python versions.
+    format() of a mixed-in member differ between Python versions. On
+    CPython 3.11 reading a member (NetworkKind.DSRC) costs ~10x reading a
+    module global, so hot loops use the bound constant DSRC below.
     """
 
     DSRC = "dsrc"
     LTE = "lte"
     WIFI = "wifi"
 
+DSRC = NetworkKind.DSRC
 #: All networks in tie-break order.
-ALL_NETWORKS = (NetworkKind.DSRC, NetworkKind.LTE, NetworkKind.WIFI)
+ALL_NETWORKS = (DSRC, NetworkKind.LTE, NetworkKind.WIFI)
 
 
 class StrategyKind(Enum):
@@ -141,38 +144,46 @@ def validate_config(cfg: ScenarioConfig) -> list[str]:
     s = cfg.strategy
     non_finite = dict(_non_finite(cfg, ""))
 
-    if cfg.total_terminals < 1:
+    def judged(*paths: str) -> bool:
+        # A value non_finite holds is named once, at the end, and no other check
+        # judges it (NaN fails every comparison, ±inf one side of a range).
+        return non_finite.keys().isdisjoint(paths)
+
+    if judged("total_terminals") and cfg.total_terminals < 1:
         v.append(f"total_terminals must be >= 1, got {_shown(cfg.total_terminals)}")
+    shares = [f"initial_assignment.{net.value}" for net in ALL_NETWORKS]
     assigned = sum(cfg.initial_assignment.get(net, 0) for net in ALL_NETWORKS)
-    if assigned != cfg.total_terminals:
+    if judged("total_terminals", *shares) and assigned != cfg.total_terminals:
         v.append(f"assignment sum {_shown(assigned)} != total_terminals "
                  f"{_shown(cfg.total_terminals)}")
-    for net in ALL_NETWORKS:
-        if cfg.initial_assignment.get(net, 0) < 0:
+    for net, share in zip(ALL_NETWORKS, shares):
+        if judged(share) and cfg.initial_assignment.get(net, 0) < 0:
             v.append(f"initial assignment for {net.value} is negative")
-    if cfg.num_cycles < 1:
-        v.append(f"num_cycles must be >= 1, got {_shown(cfg.num_cycles)}")
-    elif cfg.num_cycles > FLOAT_MAX:
-        v.append(f"num_cycles must be <= {FLOAT_MAX}")
-    if cfg.noise_amplitude < 0:
-        v.append(f"noise_amplitude must be >= 0, got {_shown(cfg.noise_amplitude)}")
-    elif cfg.noise_amplitude and cfg.total_terminals + cfg.noise_amplitude > FLOAT_MAX:
-        v.append(f"noise_amplitude must be <= {FLOAT_MAX} - total_terminals")
-    if not 0 <= cfg.seed <= MAX_SEED:
+    if judged("num_cycles"):
+        if cfg.num_cycles < 1:
+            v.append(f"num_cycles must be >= 1, got {_shown(cfg.num_cycles)}")
+        elif cfg.num_cycles > FLOAT_MAX:
+            v.append(f"num_cycles must be <= {FLOAT_MAX}")
+    if judged("noise_amplitude"):
+        if cfg.noise_amplitude < 0:
+            v.append(f"noise_amplitude must be >= 0, got {_shown(cfg.noise_amplitude)}")
+        elif (cfg.noise_amplitude and judged("total_terminals")
+              and cfg.total_terminals + cfg.noise_amplitude > FLOAT_MAX):
+            v.append(f"noise_amplitude must be <= {FLOAT_MAX} - total_terminals")
+    if judged("seed") and not 0 <= cfg.seed <= MAX_SEED:
         v.append(f"seed must be a 64-bit unsigned integer, got {_shown(cfg.seed)}")
 
-    if s.n_exp < 1:
-        v.append(f"n_exp must be >= 1, got {_shown(s.n_exp)}")
-    elif s.n_exp > FLOAT_MAX:
-        v.append(f"n_exp must be <= {FLOAT_MAX}")
-    # A value non_finite holds is named once, at the end, and no range check
-    # judges it (NaN fails every comparison, ±inf one side of a range).
-    if "strategy.rho" not in non_finite:
+    if judged("strategy.n_exp"):
+        if s.n_exp < 1:
+            v.append(f"strategy.n_exp must be >= 1, got {_shown(s.n_exp)}")
+        elif s.n_exp > FLOAT_MAX:
+            v.append(f"strategy.n_exp must be <= {FLOAT_MAX}")
+    if judged("strategy.rho"):
         if s.rho < 0:
             v.append(f"rho must be >= 0, got {_shown(s.rho)}")
         if s.rho >= 1:
             v.append("rho must be < 1")
-    if "strategy.sigma" not in non_finite and not 0 <= s.sigma <= 1:
+    if judged("strategy.sigma") and not 0 <= s.sigma <= 1:
         v.append(f"sigma must be in [0, 1], got {_shown(s.sigma)}")
 
     for net in ALL_NETWORKS:
@@ -182,24 +193,24 @@ def validate_config(cfg: ScenarioConfig) -> list[str]:
         p = cfg.profiles[net]
         tag = net.value
         at = f"profiles.{tag}."
-        if p.d0 <= 0 and at + "d0" not in non_finite:
+        if p.d0 <= 0 and judged(at + "d0"):
             v.append(f"{tag}: d0 must be > 0, got {_shown(p.d0)}")
-        if p.g0 <= 0 and at + "g0" not in non_finite:
+        if p.g0 <= 0 and judged(at + "g0"):
             v.append(f"{tag}: g0 must be > 0, got {_shown(p.g0)}")
-        if not 0 <= p.p0 < 1 and at + "p0" not in non_finite:
+        if not 0 <= p.p0 < 1 and judged(at + "p0"):
             v.append(f"{tag}: p0 must be in [0, 1), got {_shown(p.p0)}")
         for name, val in (("a", p.a), ("b", p.b), ("h", p.h)):
-            if val < 0 and at + name not in non_finite:
+            if val < 0 and judged(at + name):
                 v.append(f"{tag}: {name} must be >= 0, got {_shown(val)}")
-        if p.cap < 1 and at + "cap" not in non_finite:
+        if p.cap < 1 and judged(at + "cap"):
             v.append(f"{tag}: cap must be >= 1, got {_shown(p.cap)}")
-        if p.exponent < 1 and at + "exponent" not in non_finite:
+        if p.exponent < 1 and judged(at + "exponent"):
             v.append(f"{tag}: exponent must be >= 1, got {_shown(p.exponent)}")
         # Curves never fall with load: at N terminals a measured delay or jitter is
         # at most top = delay + jitter, the loss estimate below N, and |score| at most
         # B = 1 + max(metric / ref) + penalty. Runs sum up to max(N, num_cycles) of each.
-        # A value already refused (NaN fails every comparison) is not judged again.
         if (p.cap >= 1 and cfg.total_terminals >= 1 and cfg.num_cycles <= FLOAT_MAX
+                and judged("total_terminals", "num_cycles")
                 and not any(path.startswith(at) for path in non_finite)):
             terms = max(cfg.total_terminals, cfg.num_cycles)
             try:
@@ -214,21 +225,23 @@ def validate_config(cfg: ScenarioConfig) -> list[str]:
             if not finite:
                 v.append(f"{tag}: load curve overflows at "
                          f"{_shown(cfg.total_terminals)} terminals")
-            elif (d and d.network is net and "disturbance.delta_e" not in non_finite
+            elif (d and d.network is net and judged("disturbance.delta_e")
                   and not math.isfinite((bound + d.delta_e) * terms)):
                 v.append(f"{tag}: disturbance delta_e {_shown(d.delta_e)} "
                          "overflows the run's score sums")
 
     if cfg.disturbance is not None:
         d = cfg.disturbance
-        if d.delta_e <= 0 and "disturbance.delta_e" not in non_finite:
+        if d.delta_e <= 0 and judged("disturbance.delta_e"):
             v.append(f"disturbance delta_e must be > 0, got {_shown(d.delta_e)}")
-        if d.start_cycle < 0:
-            v.append(f"disturbance start_cycle must be >= 0, got {_shown(d.start_cycle)}")
-        elif d.start_cycle >= cfg.num_cycles:
-            v.append(f"disturbance start_cycle {_shown(d.start_cycle)} is past the run "
-                     f"({_shown(cfg.num_cycles)} cycles)")
-        if d.duration_cycles is not None and d.duration_cycles < 1:
+        if judged("disturbance.start_cycle"):
+            if d.start_cycle < 0:
+                v.append(f"disturbance start_cycle must be >= 0, got {_shown(d.start_cycle)}")
+            elif judged("num_cycles") and d.start_cycle >= cfg.num_cycles:
+                v.append(f"disturbance start_cycle {_shown(d.start_cycle)} is past the run "
+                         f"({_shown(cfg.num_cycles)} cycles)")
+        if (judged("disturbance.duration_cycles") and d.duration_cycles is not None
+                and d.duration_cycles < 1):
             v.append(f"disturbance duration_cycles must be >= 1 or null, "
                      f"got {_shown(d.duration_cycles)}")
 

@@ -22,6 +22,7 @@ from typing import Callable, Sequence
 from .domain import (
     ALL_NETWORKS,
     CYCLE_S,
+    DSRC,
     MeasurementMode,
     NetworkKind,
     ScenarioConfig,
@@ -89,17 +90,19 @@ def run_cycle(state: WorldState, cfg: ScenarioConfig,
     """Advance the world by one cycle and emit its record."""
     sample = sample_link  # read per call, not at import: the benchmark's tracer replaces it
     t = state.cycle
-    n_terminals = len(state.attachment)
+    rngs, attachment, counters = state.rngs, state.attachment, state.counters
+    n_terminals = len(attachment)
     if decision_order is None:
         decision_order = range(n_terminals)
     elif sorted(decision_order) != list(range(n_terminals)):
         raise ValueError(f"decision_order must be a permutation of range({n_terminals})")
     params = cfg.strategy
+    profiles = cfg.profiles
     ledgers = state.ledgers
     counts_pre = state.counts
     gen_time = t * CYCLE_S
     # (delay, plr, jitter) at the pre-decision loads; every phase below reads it.
-    curves = {net: perf_at(cfg.profiles[net], counts_pre[net]) for net in ALL_NETWORKS}
+    curves = {net: perf_at(profiles[net], counts_pre[net]) for net in ALL_NETWORKS}
     penalty = {net: 0.0 for net in ALL_NETWORKS}
     if cfg.disturbance is not None and cfg.disturbance.active_at(t):
         penalty[cfg.disturbance.network] = cfg.disturbance.delta_e
@@ -108,16 +111,16 @@ def run_cycle(state: WorldState, cfg: ScenarioConfig,
         # An empty network has no one to measure, so it scores from the prior.
         shared_evals = {
             net: evaluate_network(curves[net] if counts_pre[net] else None,
-                                  cfg.profiles[net], penalty[net])
+                                  profiles[net], penalty[net])
             for net in ALL_NETWORKS
         }
     else:
         for ledger in ledgers:
             ledger.begin_cycle()
         hearers = [(rng, ledger.record_reception)
-                   for rng, ledger in zip(state.rngs, ledgers)]
-        for sender, net in enumerate(state.attachment):
-            profile = cfg.profiles[net]
+                   for rng, ledger in zip(rngs, ledgers)]
+        for sender, net in enumerate(attachment):
+            profile = profiles[net]
             curve = curves[net]
             for rng, record_reception in hearers[:sender] + hearers[sender + 1:]:
                 link = sample(profile, curve, rng)
@@ -138,23 +141,21 @@ def run_cycle(state: WorldState, cfg: ScenarioConfig,
     handoffs = 0
     score_sum = 0.0
     for i in decision_order:
-        rng = state.rngs[i]
-        current = state.attachment[i]
+        rng = rngs[i]
+        current = attachment[i]
         if ledgers is None:
             evals = shared_evals
             # x_dsrc estimates the DSRC population, so an attached terminal
             # counts itself; x_current counts only *heard* senders.
-            x_dsrc = counts_pre[NetworkKind.DSRC]
+            x_dsrc = counts_pre[DSRC]
             x_current = counts_pre[current] - 1
         else:
             ledger = ledgers[i]
             evals = {
-                net: evaluate_network(ledger.measure(net), cfg.profiles[net],
-                                      penalty[net])
+                net: evaluate_network(ledger.measure(net), profiles[net], penalty[net])
                 for net in ALL_NETWORKS
             }
-            x_dsrc = ledger.distinct_senders(NetworkKind.DSRC) \
-                + (1 if current is NetworkKind.DSRC else 0)
+            x_dsrc = ledger.distinct_senders(DSRC) + (1 if current is DSRC else 0)
             x_current = ledger.distinct_senders(current)
         if noise:
             r = rng.getrandbits(k)
@@ -164,16 +165,16 @@ def run_cycle(state: WorldState, cfg: ScenarioConfig,
             if x_dsrc < 0:
                 x_dsrc = 0
         score_sum += evals[current].score
-        c = state.counters[i]
-        target, state.counters[i], _ = (
+        c = counters[i]
+        target, counters[i], _ = (
             decide_game(current, x_dsrc, x_current, evals, c, params, rng)
             if game else decide_baseline(current, evals, c))
         if target is not None:
             assert target is not current
-            state.attachment[i] = target
+            attachment[i] = target
             handoffs += 1
 
-    counts_post = {net: state.attachment.count(net) for net in ALL_NETWORKS}
+    counts_post = {net: attachment.count(net) for net in ALL_NETWORKS}
     state.counts = counts_post
     if sum(counts_post.values()) != n_terminals:
         raise AssertionError("terminal conservation violated")
@@ -184,8 +185,7 @@ def run_cycle(state: WorldState, cfg: ScenarioConfig,
         counts=counts_post,
         handoffs=handoffs,
         avg_score=score_sum / n_terminals,
-        net_score={net: evaluate_network(curves[net], cfg.profiles[net],
-                                         penalty[net]).score
+        net_score={net: evaluate_network(curves[net], profiles[net], penalty[net]).score
                    for net in ALL_NETWORKS},
         net_delay={net: delay for net, (delay, _, _) in curves.items()},
         net_plr={net: plr for net, (_, plr, _) in curves.items()},

@@ -21,7 +21,7 @@ import random
 from enum import Enum
 from typing import NamedTuple
 
-from .domain import NetworkKind, StrategyParams
+from .domain import DSRC, NetworkKind, StrategyParams
 from .evaluation import NetEvaluation, best_network, select_best
 
 
@@ -38,6 +38,14 @@ class Decision(NamedTuple):
     target: NetworkKind | None
     new_counter_c: int
     trigger: Trigger = Trigger.NONE
+
+
+# Bound once: a member read costs ~10x a global read on CPython 3.11.
+NONE, OVERLOAD, DEGRADATION, RETURN_TO_DSRC = (
+    Trigger.NONE, Trigger.OVERLOAD, Trigger.DEGRADATION, Trigger.RETURN_TO_DSRC)
+# Decision(...) runs NamedTuple's Python-level __new__; the stay-put result,
+# which most decisions return, is built directly.
+_new = tuple.__new__
 
 
 def p_overload(x: int, n_exp: int, rho: float) -> float:
@@ -100,25 +108,25 @@ def decide_game(current: NetworkKind, x_dsrc: int, x_current: int,
     every path that inspects the current network's requirements.
     """
     c = counter_c
-    dsrc_meets = evals[NetworkKind.DSRC].meets_requirements
+    dsrc_meets = evals[DSRC].meets_requirements
 
-    if current is NetworkKind.DSRC:
+    if current is DSRC:
         if x_dsrc > params.n_exp:
             if rng.random() < p_overload(x_dsrc, params.n_exp, params.rho):
-                target = best_network(evals, exclude=NetworkKind.DSRC)
-                return Decision(target, c, Trigger.OVERLOAD)
+                target = best_network(evals, exclude=DSRC)
+                return Decision(target, c, OVERLOAD)
         x, met = x_dsrc, dsrc_meets
     else:
         if dsrc_meets and x_dsrc < params.n_exp:
             if rng.random() < p_return(x_dsrc, x_current, params.n_exp, params.rho):
-                return Decision(NetworkKind.DSRC, c, Trigger.RETURN_TO_DSRC)
+                return Decision(DSRC, c, RETURN_TO_DSRC)
         x, met = x_current, evals[current].meets_requirements
 
     c = update_counter(c, met)
     if not met and rng.random() < p_degraded(c, x, params.sigma):
         target = best_network(evals, exclude=current)
-        return Decision(target, c, Trigger.DEGRADATION)
-    return Decision(None, c)
+        return Decision(target, c, DEGRADATION)
+    return _new(Decision, (None, c, NONE))
 
 
 def decide_baseline(current: NetworkKind, evals: dict[NetworkKind, NetEvaluation],
@@ -126,5 +134,5 @@ def decide_baseline(current: NetworkKind, evals: dict[NetworkKind, NetEvaluation
     """Single-play score chaser: jump to the argmax network, no randomness."""
     best = select_best(evals, current)
     if best is current:
-        return Decision(None, counter_c)
+        return _new(Decision, (None, counter_c, NONE))
     return Decision(best, counter_c)

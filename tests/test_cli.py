@@ -105,7 +105,7 @@ def test_run_strategy_override_changes_csv(tmp_path):
      "dsrc: load curve overflows at 50 terminals"),
     # Integers beyond the float range would raise OverflowError mid-run.
     (lambda d: d["strategy"].update(n_exp=10**400),
-     f"n_exp must be <= {sys.float_info.max}"),
+     f"strategy.n_exp must be <= {sys.float_info.max}"),
     (lambda d: d.update(num_cycles=10**400), f"num_cycles must be <= {sys.float_info.max}"),
     (lambda d: d.update(noise_amplitude=10**400),
      f"noise_amplitude must be <= {sys.float_info.max} - total_terminals"),

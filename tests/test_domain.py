@@ -156,14 +156,24 @@ FLOAT_FIELDS = [f"{section}.{f.name}"
                 for f in dataclasses.fields(cls) if typing.get_type_hints(cls)[f.name] is float]
 
 
+# A library caller can put a non-finite float in an int field as well.
+INT_FIELDS = ["seed", "num_cycles", "noise_amplitude", "total_terminals", "strategy.n_exp",
+              "initial_assignment.lte"]
+NON_FINITE = (math.inf, -math.inf, math.nan)
+
+
 @pytest.mark.parametrize("scenario, path, value", [
     ("table2_step", "profiles.dsrc.a", math.inf),
     ("table2_step", "profiles.dsrc.d0", math.nan),
-] + [("linear_delta_e", path, value)
-     for path in FLOAT_FIELDS for value in (math.inf, -math.inf, math.nan)])
+] + [("linear_delta_e", path, value) for path in FLOAT_FIELDS for value in NON_FINITE]
+  + [("linear_delta_e", path, value)
+     for path in INT_FIELDS + ["disturbance.start_cycle", "disturbance.duration_cycles"]
+     for value in NON_FINITE]
+  + [("table2_disturbance", path, value)  # noise_amplitude > 0
+     for path in INT_FIELDS for value in NON_FINITE])
 def test_non_finite_value_named_once(scenario, path, value):
-    # Neither the range checks nor the overflow bound judge a value the finite
-    # check already names.
+    # Neither the range checks, the assignment sum, the overflow bound nor a
+    # cross-field check judge a value the finite check already names.
     cfg = replace_at(load_scenario(SCENARIOS / f"{scenario}.json"), path, value)
     assert validate_config(cfg) == [f"{path} must be finite, got {value}"]
 
@@ -198,13 +208,13 @@ def wifi_disturbance(**fields):
     (lambda c: replace_at(c, "noise_amplitude", -1), "noise_amplitude must be >= 0, got -1"),
     (lambda c: replace_at(c, "seed", -1),
      "seed must be a 64-bit unsigned integer, got -1"),
-    (lambda c: replace_at(c, "strategy.n_exp", 0), "n_exp must be >= 1, got 0"),
+    (lambda c: replace_at(c, "strategy.n_exp", 0), "strategy.n_exp must be >= 1, got 0"),
     (lambda c: replace_at(c, "strategy.rho", -0.1), "rho must be >= 0, got -0.1"),
     # str() refuses an int over 4300 digits; its sign and digit count are printed.
     (lambda c: replace_at(c, "seed", 10**5000 - 1),
      "seed must be a 64-bit unsigned integer, got <5000-digit integer>"),
     (lambda c: replace_at(c, "strategy.n_exp", -10**5000),
-     "n_exp must be >= 1, got -<5001-digit integer>"),
+     "strategy.n_exp must be >= 1, got -<5001-digit integer>"),
     (without_wifi_profile, "profile for wifi is missing"),
     (lambda c: replace_at(c, "profiles.dsrc.g0", 0.0), "dsrc: g0 must be > 0, got 0.0"),
     (lambda c: replace_at(c, "profiles.lte.h", -0.1), "lte: h must be >= 0, got -0.1"),

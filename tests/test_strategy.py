@@ -229,6 +229,40 @@ def test_game_decision_never_targets_current():
         assert d.new_counter_c >= 0
 
 
+DSRC, LTE, WIFI = ALL_NETWORKS
+
+
+@pytest.mark.parametrize("decide, expected", [
+    # overload: p_overload(40, 30, 0.5) ~= 0.134 > 0.05
+    (lambda: decide_game(*view(x_dsrc=40, ev=evals(d=0.9, l=0.6, w=0.4)), PARAMS,
+                         StubRng(0.05)), (LTE, 0, Trigger.OVERLOAD)),
+    # return: p_return(10, 19, 30, 0.5) = 0.5 > 0.3
+    (lambda: decide_game(*view(current=LTE, x_dsrc=10, x_current=19, c=5), PARAMS,
+                         StubRng(0.3)), (DSRC, 5, Trigger.RETURN_TO_DSRC)),
+    # degradation after a lost overload draw
+    (lambda: decide_game(*view(x_dsrc=40, dsrc_meets=False, c=1, ev=evals(l=0.2, w=0.9)),
+                         PARAMS, StubRng(0.9, 0.0)), (WIFI, 2, Trigger.DEGRADATION)),
+    # fall-through stays: a lost overload, return or degradation draw
+    (lambda: decide_game(*view(x_dsrc=40, c=4), PARAMS, StubRng(0.9)),
+     (None, 2, Trigger.NONE)),
+    (lambda: decide_game(*view(current=LTE, x_dsrc=10, x_current=19, c=3), PARAMS,
+                         StubRng(0.7)), (None, 1, Trigger.NONE)),
+    (lambda: decide_game(*view(x_dsrc=20, dsrc_meets=False, c=3), PARAMS, StubRng(0.99)),
+     (None, 4, Trigger.NONE)),
+    # quiet stay: no gate opens, no draw
+    (lambda: decide_game(*view(x_dsrc=25, c=4), PARAMS, StubRng()), (None, 2, Trigger.NONE)),
+    (lambda: decide_baseline(LTE, evals(d=0.5, l=0.7, w=0.6), 7), (None, 7, Trigger.NONE)),
+    (lambda: decide_baseline(DSRC, evals(d=0.5, l=0.7, w=0.6), 7), (LTE, 7, Trigger.NONE)),
+], ids=["overload", "return", "degradation", "lost_overload", "lost_return",
+        "lost_degradation", "quiet", "baseline_stay", "baseline_switch"])
+def test_every_decision_path_returns_a_decision(decide, expected):
+    # The stay-put result is built without Decision's constructor; each path
+    # must still give a Decision with its fields in their declared order.
+    d = decide()
+    assert type(d) is Decision
+    assert (d.target, d.new_counter_c, d.trigger) == expected
+
+
 # --- baseline decisions ------------------------------------------------------
 
 def test_baseline_switches_to_argmax():
