@@ -49,6 +49,8 @@ from .report import (
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_IO = 2
+#: The cycles at the end of an oracle run whose mean is the simulated steady shift.
+ORACLE_TAIL = 30
 
 
 class _CliError(Exception):
@@ -187,10 +189,14 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     cfg = _scenario(args)
     if cfg.disturbance is None:
         raise _CliError("scenario has no disturbance; nothing to predict")
+    start = cfg.disturbance.start_cycle
+    if cfg.num_cycles - start < ORACLE_TAIL:
+        raise _CliError(f"the simulated shift averages the last {ORACLE_TAIL} cycles, so the "
+                        f"run needs {ORACLE_TAIL} past start_cycle {start}; "
+                        f"got {cfg.num_cycles} cycles")
     records = run_scenario(cfg)
 
     disturbed = cfg.disturbance.network
-    start = cfg.disturbance.start_cycle
     pre_counts = records[start - 1].counts if start else cfg.initial_assignment
     g = pre_counts[disturbed]
     # The switch destination: best-scoring alternative at pre-disturbance loads.
@@ -204,7 +210,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         lambda n: ground_truth_eval(cfg.profiles[partner], n),
         g, h, cfg.disturbance.delta_e)
 
-    tail = records[-min(30, len(records)):]
+    tail = records[-ORACLE_TAIL:]
     mean_tail = sum(r.counts[disturbed] for r in tail) / len(tail)
     s_simulated = g - mean_tail
 

@@ -135,55 +135,48 @@ class ScenarioFormatError(ValueError):
 
 
 def validate_config(cfg: ScenarioConfig) -> list[str]:
-    """Return every invariant violation of the config (empty list if valid).
+    """Return the config's invariant violations (empty list if valid).
 
+    A NaN or infinite number is named alone: while the config holds one, the
+    list names only its non-finite values (NaN fails every comparison, ±inf
+    one side of a range), and the other checks judge it once they are fixed.
     Violations are data, not failures: the function never raises for a
     well-typed config, and identical inputs yield identical lists.
     """
-    v: list[str] = []
+    v = [f"{path} must be finite, got {_shown(val)}" for path, val in _non_finite(cfg, "")]
+    if v:
+        return v
     s = cfg.strategy
-    non_finite = dict(_non_finite(cfg, ""))
 
-    def judged(*paths: str) -> bool:
-        # A value non_finite holds is named once, at the end, and no other check
-        # judges it (NaN fails every comparison, ±inf one side of a range).
-        return non_finite.keys().isdisjoint(paths)
-
-    if judged("total_terminals") and cfg.total_terminals < 1:
+    if cfg.total_terminals < 1:
         v.append(f"total_terminals must be >= 1, got {_shown(cfg.total_terminals)}")
-    shares = [f"initial_assignment.{net.value}" for net in ALL_NETWORKS]
     assigned = sum(cfg.initial_assignment.get(net, 0) for net in ALL_NETWORKS)
-    if judged("total_terminals", *shares) and assigned != cfg.total_terminals:
+    if assigned != cfg.total_terminals:
         v.append(f"assignment sum {_shown(assigned)} != total_terminals "
                  f"{_shown(cfg.total_terminals)}")
-    for net, share in zip(ALL_NETWORKS, shares):
-        if judged(share) and cfg.initial_assignment.get(net, 0) < 0:
+    for net in ALL_NETWORKS:
+        if cfg.initial_assignment.get(net, 0) < 0:
             v.append(f"initial assignment for {net.value} is negative")
-    if judged("num_cycles"):
-        if cfg.num_cycles < 1:
-            v.append(f"num_cycles must be >= 1, got {_shown(cfg.num_cycles)}")
-        elif cfg.num_cycles > FLOAT_MAX:
-            v.append(f"num_cycles must be <= {FLOAT_MAX}")
-    if judged("noise_amplitude"):
-        if cfg.noise_amplitude < 0:
-            v.append(f"noise_amplitude must be >= 0, got {_shown(cfg.noise_amplitude)}")
-        elif (cfg.noise_amplitude and judged("total_terminals")
-              and cfg.total_terminals + cfg.noise_amplitude > FLOAT_MAX):
-            v.append(f"noise_amplitude must be <= {FLOAT_MAX} - total_terminals")
-    if judged("seed") and not 0 <= cfg.seed <= MAX_SEED:
+    if cfg.num_cycles < 1:
+        v.append(f"num_cycles must be >= 1, got {_shown(cfg.num_cycles)}")
+    elif cfg.num_cycles > FLOAT_MAX:
+        v.append(f"num_cycles must be <= {FLOAT_MAX}")
+    if cfg.noise_amplitude < 0:
+        v.append(f"noise_amplitude must be >= 0, got {_shown(cfg.noise_amplitude)}")
+    elif cfg.noise_amplitude and cfg.total_terminals + cfg.noise_amplitude > FLOAT_MAX:
+        v.append(f"noise_amplitude must be <= {FLOAT_MAX} - total_terminals")
+    if not 0 <= cfg.seed <= MAX_SEED:
         v.append(f"seed must be a 64-bit unsigned integer, got {_shown(cfg.seed)}")
 
-    if judged("strategy.n_exp"):
-        if s.n_exp < 1:
-            v.append(f"strategy.n_exp must be >= 1, got {_shown(s.n_exp)}")
-        elif s.n_exp > FLOAT_MAX:
-            v.append(f"strategy.n_exp must be <= {FLOAT_MAX}")
-    if judged("strategy.rho"):
-        if s.rho < 0:
-            v.append(f"rho must be >= 0, got {_shown(s.rho)}")
-        if s.rho >= 1:
-            v.append("rho must be < 1")
-    if judged("strategy.sigma") and not 0 <= s.sigma <= 1:
+    if s.n_exp < 1:
+        v.append(f"strategy.n_exp must be >= 1, got {_shown(s.n_exp)}")
+    elif s.n_exp > FLOAT_MAX:
+        v.append(f"strategy.n_exp must be <= {FLOAT_MAX}")
+    if s.rho < 0:
+        v.append(f"rho must be >= 0, got {_shown(s.rho)}")
+    if s.rho >= 1:
+        v.append("rho must be < 1")
+    if not 0 <= s.sigma <= 1:
         v.append(f"sigma must be in [0, 1], got {_shown(s.sigma)}")
 
     for net in ALL_NETWORKS:
@@ -192,26 +185,23 @@ def validate_config(cfg: ScenarioConfig) -> list[str]:
             continue
         p = cfg.profiles[net]
         tag = net.value
-        at = f"profiles.{tag}."
-        if p.d0 <= 0 and judged(at + "d0"):
+        if p.d0 <= 0:
             v.append(f"{tag}: d0 must be > 0, got {_shown(p.d0)}")
-        if p.g0 <= 0 and judged(at + "g0"):
+        if p.g0 <= 0:
             v.append(f"{tag}: g0 must be > 0, got {_shown(p.g0)}")
-        if not 0 <= p.p0 < 1 and judged(at + "p0"):
+        if not 0 <= p.p0 < 1:
             v.append(f"{tag}: p0 must be in [0, 1), got {_shown(p.p0)}")
         for name, val in (("a", p.a), ("b", p.b), ("h", p.h)):
-            if val < 0 and judged(at + name):
+            if val < 0:
                 v.append(f"{tag}: {name} must be >= 0, got {_shown(val)}")
-        if p.cap < 1 and judged(at + "cap"):
+        if p.cap < 1:
             v.append(f"{tag}: cap must be >= 1, got {_shown(p.cap)}")
-        if p.exponent < 1 and judged(at + "exponent"):
+        if p.exponent < 1:
             v.append(f"{tag}: exponent must be >= 1, got {_shown(p.exponent)}")
         # Curves never fall with load: at N terminals a measured delay or jitter is
         # at most top = delay + jitter, the loss estimate below N, and |score| at most
         # B = 1 + max(metric / ref) + penalty. Runs sum up to max(N, num_cycles) of each.
-        if (p.cap >= 1 and cfg.total_terminals >= 1 and cfg.num_cycles <= FLOAT_MAX
-                and judged("total_terminals", "num_cycles")
-                and not any(path.startswith(at) for path in non_finite)):
+        if p.cap >= 1 and cfg.total_terminals >= 1 and cfg.num_cycles <= FLOAT_MAX:
             terms = max(cfg.total_terminals, cfg.num_cycles)
             try:
                 delay, _, jit = perf_at(p, cfg.total_terminals)
@@ -225,27 +215,22 @@ def validate_config(cfg: ScenarioConfig) -> list[str]:
             if not finite:
                 v.append(f"{tag}: load curve overflows at "
                          f"{_shown(cfg.total_terminals)} terminals")
-            elif (d and d.network is net and judged("disturbance.delta_e")
-                  and not math.isfinite((bound + d.delta_e) * terms)):
+            elif d and d.network is net and not math.isfinite((bound + d.delta_e) * terms):
                 v.append(f"{tag}: disturbance delta_e {_shown(d.delta_e)} "
                          "overflows the run's score sums")
 
     if cfg.disturbance is not None:
         d = cfg.disturbance
-        if d.delta_e <= 0 and judged("disturbance.delta_e"):
+        if d.delta_e <= 0:
             v.append(f"disturbance delta_e must be > 0, got {_shown(d.delta_e)}")
-        if judged("disturbance.start_cycle"):
-            if d.start_cycle < 0:
-                v.append(f"disturbance start_cycle must be >= 0, got {_shown(d.start_cycle)}")
-            elif judged("num_cycles") and d.start_cycle >= cfg.num_cycles:
-                v.append(f"disturbance start_cycle {_shown(d.start_cycle)} is past the run "
-                         f"({_shown(cfg.num_cycles)} cycles)")
-        if (judged("disturbance.duration_cycles") and d.duration_cycles is not None
-                and d.duration_cycles < 1):
+        if d.start_cycle < 0:
+            v.append(f"disturbance start_cycle must be >= 0, got {_shown(d.start_cycle)}")
+        elif d.start_cycle >= cfg.num_cycles:
+            v.append(f"disturbance start_cycle {_shown(d.start_cycle)} is past the run "
+                     f"({_shown(cfg.num_cycles)} cycles)")
+        if d.duration_cycles is not None and d.duration_cycles < 1:
             v.append(f"disturbance duration_cycles must be >= 1 or null, "
                      f"got {_shown(d.duration_cycles)}")
-
-    v.extend(f"{path} must be finite, got {_shown(val)}" for path, val in non_finite.items())
     return v
 
 

@@ -155,8 +155,8 @@ def run_cycle(state: WorldState, cfg: ScenarioConfig,
                 net: evaluate_network(ledger.measure(net), profiles[net], penalty[net])
                 for net in ALL_NETWORKS
             }
-            x_dsrc = ledger.distinct_senders(DSRC) + (1 if current is DSRC else 0)
             x_current = ledger.distinct_senders(current)
+            x_dsrc = x_current + 1 if current is DSRC else ledger.distinct_senders(DSRC)
         if noise:
             r = rng.getrandbits(k)
             while r >= width:

@@ -259,6 +259,17 @@ def test_oracle_prints_prediction(capsys):
     assert "simulated steady shift:" in printed
 
 
+def test_oracle_refuses_run_shorter_than_tail_past_disturbance(capsys):
+    # linear_delta_e's disturbance starts at cycle 30; the 30-cycle tail of a
+    # 31-cycle run would average 29 cycles from before it.
+    code = main(["oracle", LINEAR, "--num-cycles", "31"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "start_cycle 30" in captured.err and "got 31 cycles" in captured.err
+    assert main(["oracle", LINEAR, "--num-cycles", "60"]) == 0
+
+
 def test_oracle_without_disturbance_exits_1(capsys):
     code = main(["oracle", STEP])
     assert code == 1

@@ -189,6 +189,17 @@ def test_int_beyond_float_range_named_once(path):
         assert validate_config(cfg) == [f"{path} must be finite, got {sign * math.inf}"]
 
 
+def test_non_finite_value_named_before_other_faults():
+    # While a config holds a non-finite number, only that number is named; the
+    # out-of-range sigma and num_cycles are judged once it is fixed.
+    cfg = dataclasses.replace(table2_step(), num_cycles=0,
+                              strategy=StrategyParams(n_exp=30, rho=math.nan, sigma=2.0))
+    assert validate_config(cfg) == ["strategy.rho must be finite, got nan"]
+    fixed = dataclasses.replace(cfg, strategy=StrategyParams(n_exp=30, rho=0.5, sigma=2.0))
+    assert validate_config(fixed) == ["num_cycles must be >= 1, got 0",
+                                      "sigma must be in [0, 1], got 2.0"]
+
+
 def without_wifi_profile(cfg):
     return dataclasses.replace(cfg, profiles={
         net: p for net, p in cfg.profiles.items() if net is not NetworkKind.WIFI})

@@ -3,11 +3,17 @@
 The growth coefficients (a, b, h) and the disturbance's delta_e span the
 full finite float range, so these tests reach the overflow edge that the
 shipped scenarios never come near. Runs stay small: at most 60 terminals
-and 5 cycles in direct mode, at most 12 terminals in sampled mode.
+and 5 cycles in direct mode, at most 12 terminals in sampled mode. The
+last test feeds whole scenario documents, each a shipped one with one
+value replaced, through the command line.
 """
 
 import dataclasses
+import io
+import json
 import math
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -17,6 +23,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from hetsim.cli import main  # noqa: E402
 from hetsim.domain import (  # noqa: E402
     ALL_NETWORKS,
     DisturbanceSpec,
@@ -24,6 +31,7 @@ from hetsim.domain import (  # noqa: E402
     NetworkKind,
     StrategyKind,
     load_scenario,
+    scenario_from_dict,
     validate_config,
 )
 from hetsim.engine import init_state, run_cycle, run_scenario  # noqa: E402
@@ -144,3 +152,79 @@ def test_cycle_zero_truth_agrees_between_modes(cfg):
     _, direct_record = run_cycle(init_state(direct), direct)
     for field in ("net_score", "net_delay", "net_plr", "net_jit"):
         assert getattr(sampled_record, field) == getattr(direct_record, field)
+
+
+DOCUMENTS = {name: json.loads((SCENARIOS / f"{name}.json").read_text(encoding="utf-8"))
+             for name in ("table2_step", "table2_disturbance", "linear_delta_e")}
+_MARK = "<replaced>"
+
+
+def _paths(value, path=()):
+    """The key path of the value and of every value nested in it."""
+    yield path
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _paths(item, path + (key,))
+
+
+def _document(name, path, raw):
+    """The shipped document's JSON text with the value at path replaced by raw text."""
+    holder = [json.loads(json.dumps(DOCUMENTS[name]))]
+    parent, key = holder, 0
+    for part in path:
+        parent, key = parent[key], part
+    parent[key] = _MARK
+    return json.dumps(holder[0]).replace(json.dumps(_MARK), raw)
+
+
+# Raw JSON text: Python's json reads NaN, Infinity and 1e400 (as inf) too. Small
+# numbers often keep the document valid, so the run reaches the simulation.
+SCALAR_TEXT = [
+    st.integers(0, 100).map(str),
+    st.floats(0, 1).map(json.dumps),
+    st.integers().map(str),
+    st.integers(-10**400, 10**400).map(str),
+    st.sampled_from(["NaN", "Infinity", "-Infinity", "1e400", "true", "false", "null",
+                     str(2**64 - 1), str(10**300), "1.7976931348623157e+308"]),
+    st.floats().map(json.dumps),
+    st.text(max_size=4).map(json.dumps),
+    st.sampled_from([m.value for kind in (NetworkKind, StrategyKind, MeasurementMode)
+                     for m in kind]).map(json.dumps),
+]
+VALUE_TEXT = st.one_of(*SCALAR_TEXT, (
+    st.lists(st.one_of(SCALAR_TEXT), max_size=3).map(lambda items: f"[{', '.join(items)}]")
+    | st.dictionaries(st.text(max_size=3).map(json.dumps), st.one_of(SCALAR_TEXT),
+                      max_size=3).map(
+        lambda pairs: "{" + ", ".join(f"{k}: {v}" for k, v in pairs.items()) + "}")))
+
+
+@st.composite
+def documents(draw):
+    name = draw(st.sampled_from(sorted(DOCUMENTS)))
+    path = draw(st.sampled_from(list(_paths(DOCUMENTS[name]))))
+    return _document(name, path, draw(VALUE_TEXT))
+
+
+@CHECKS
+@given(documents())
+@example(_document("table2_step", ("seed",), "9" * 5000))
+@example(_document("table2_step", ("strategy", "rho"), "9" * 400))
+def test_any_scenario_document_exits_cleanly(text):
+    try:
+        cfg = scenario_from_dict(json.loads(text))
+    except ValueError:  # ScenarioFormatError, or an integer literal over 4300 digits
+        pass
+    else:
+        assert all(isinstance(v, str) for v in validate_config(cfg))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "scenario.json")
+        path.write_text(text, encoding="utf-8")
+        # 31 cycles keep linear_delta_e's disturbance, at cycle 30, inside the run.
+        for argv in (["validate", str(path)],
+                     ["run", str(path), "--mode", "direct", "--num-cycles", "31",
+                      "-o", str(Path(tmp, "out.csv"))]):
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main(argv)
+            assert code in (0, 1, 2), (argv[0], code)
+            assert "Traceback" not in err.getvalue()
