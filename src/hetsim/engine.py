@@ -115,20 +115,25 @@ def run_cycle(state: WorldState, cfg: ScenarioConfig,
             for net in ALL_NETWORKS
         }
     else:
-        for ledger in ledgers:
-            ledger.begin_cycle()
-        hearers = [(rng, ledger.record_reception)
-                   for rng, ledger in zip(rngs, ledgers)]
+        opened = [ledger.begin_cycle() for ledger in ledgers]
+        hearers = {net: [(rng, slots[net]) for rng, slots in zip(rngs, opened)]
+                   for net in ALL_NETWORKS}
         for sender, net in enumerate(attachment):
             profile = profiles[net]
+            # A delivered delay is never below d0, so d0 >= 0 keeps every
+            # reception after its generation.
+            if profile.d0 < 0:
+                raise ValueError(f"reception precedes generation (d0 {profile.d0})")
             curve = curves[net]
-            for rng, record_reception in hearers[:sender] + hearers[sender + 1:]:
-                link = sample(profile, curve, rng)
-                if link.delivered:
+            on_net = hearers[net]
+            for rng, (slot, last_heard, now) in on_net[:sender] + on_net[sender + 1:]:
+                delivered, delay = sample(profile, curve, rng)
+                if delivered:
                     # Delay as reception time minus generation time, the way a
                     # receiver computes it; the float round trip is kept on
                     # purpose, since it shifts the last bits of the delay.
-                    record_reception(net, sender, (gen_time + link.delay) - gen_time)
+                    slot[sender] = (gen_time + delay) - gen_time
+                    last_heard[sender] = now
 
     # A terminal reads only its own slots, counts_pre, curves and penalty,
     # and moves only itself, so each decides from the common snapshot.

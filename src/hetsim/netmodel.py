@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import NamedTuple
 
 
 @dataclass(frozen=True)
@@ -37,12 +38,17 @@ class NetworkProfile:
     exponent: float = 2.0
 
 
-@dataclass(slots=True)
-class LinkSample:
+class LinkSample(NamedTuple):
     """Outcome of one broadcast link: lost, or delivered after `delay`."""
 
     delivered: bool
     delay: float | None = None
+
+
+# LinkSample(...) runs NamedTuple's Python-level __new__; every lost link
+# shares one result and a delivered one is built directly.
+_LOST = LinkSample(False)
+_new = tuple.__new__
 
 
 def perf_at(profile: NetworkProfile, n: int) -> tuple[float, float, float]:
@@ -66,8 +72,8 @@ def sample_link(profile: NetworkProfile, curve: tuple[float, float, float],
     """
     delay, plr, jitter = curve
     if rng.random() < plr:
-        return LinkSample(False)
+        return _LOST
     # rng.uniform(-jitter, jitter) and max(observed, d0), written out: the same
     # draw and the same float, without two Python-level calls per packet.
     observed = delay + (-jitter + (jitter + jitter) * rng.random())
-    return LinkSample(True, profile.d0 if profile.d0 > observed else observed)
+    return _new(LinkSample, (True, profile.d0 if profile.d0 > observed else observed))

@@ -1,8 +1,8 @@
 """Per-terminal reception bookkeeping and the broadcast-derived link metrics.
 
-Every terminal keeps, per network, one window of per-cycle receptions
-(delay per sender), long enough for both the last three cycles and the
-trailing second. From it derives:
+Every terminal keeps, per network, the delays heard in the current and
+the previous cycle (one per sender) and the last cycle in which each
+sender was heard. From them derive:
 
 * the distinct-sender count over the three-cycle window, which estimates
   how many terminals are broadcasting on a network without being fooled
@@ -14,14 +14,18 @@ trailing second. From it derives:
   can exceed 1 right after heavy loss;
 * mean per-sender delay change between consecutive cycles (jitter).
 
-When the window does not hold the data for all three metrics yet,
+A window's sender population is the senders last heard inside it: the
+same set as the union of the window's per-cycle receptions, since no
+sender is heard after the current cycle.
+
+When the two delay slots do not hold the data for all three metrics yet,
 `measure` returns None and the caller falls back to its prior.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from itertools import islice
+from itertools import repeat
+from operator import lt
 
 from .domain import ALL_NETWORKS, CYCLE_S, NetworkKind
 
@@ -31,42 +35,59 @@ SENDER_WINDOW_CYCLES = 3
 LOSS_WINDOW_CYCLES = round(1 / CYCLE_S)
 
 
+def _heard_since(last_heard: dict[int, int], before: int) -> int:
+    """How many senders were last heard in a cycle after `before`."""
+    return sum(map(lt, repeat(before), last_heard.values()))
+
+
 class ReceptionLedger:
-    """Reception history of one terminal (exclusively owned, not shared)."""
+    """Reception history of one terminal (exclusively owned, not shared):
+    two {sender: delay} slots and a {sender: last cycle heard} map per
+    network. A window's sender count is the size of its slots' union."""
 
     def __init__(self):
-        # Newest slot last; one {sender: delay} dict per cycle. The window
-        # starts with the two silent cycles `measure` reads and fills as
-        # cycles run; a missing slot and a silent one count alike.
-        self._slots: dict[NetworkKind, deque[dict[int, float]]] = {
-            net: deque([{}, {}], maxlen=LOSS_WINDOW_CYCLES)
-            for net in ALL_NETWORKS
-        }
+        # The ledger starts with the two silent cycles `measure` reads,
+        # numbered -1 and 0; a cycle before the first and a silent one
+        # count alike.
+        self._cycle = 0
+        self._previous: dict[NetworkKind, dict[int, float]] = {n: {} for n in ALL_NETWORKS}
+        self._current: dict[NetworkKind, dict[int, float]] = {n: {} for n in ALL_NETWORKS}
+        self._last_heard: dict[NetworkKind, dict[int, int]] = {n: {} for n in ALL_NETWORKS}
 
-    def begin_cycle(self) -> None:
-        """Open a new (empty) cycle slot; receptions land in the open slot."""
-        for net in ALL_NETWORKS:
-            self._slots[net].append({})
+    def begin_cycle(self) -> dict[NetworkKind, tuple[dict[int, float], dict[int, int], int]]:
+        """Open a new (empty) cycle slot; receptions land in the open slot.
+
+        Returns, per network, (slot, last_heard, cycle): a reception writes
+        `slot[sender] = delay` and `last_heard[sender] = cycle`, as
+        `record_reception` does.
+        """
+        self._cycle = cycle = self._cycle + 1
+        self._previous = self._current
+        self._current = current = {net: {} for net in ALL_NETWORKS}
+        last_heard = self._last_heard
+        return {net: (current[net], last_heard[net], cycle) for net in ALL_NETWORKS}
 
     def record_reception(self, network: NetworkKind, sender: int, delay: float) -> None:
         """Log one broadcast received this cycle; a repeated sender keeps the latest."""
         if delay < 0:
             raise ValueError(f"reception precedes generation (delay {delay})")
-        self._slots[network][-1][sender] = delay
+        self._current[network][sender] = delay
+        self._last_heard[network][sender] = self._cycle
 
     def distinct_senders(self, network: NetworkKind) -> int:
         """Unique senders heard on the network within the 3-cycle window."""
-        return len(set().union(*islice(reversed(self._slots[network]), SENDER_WINDOW_CYCLES)))
+        return _heard_since(self._last_heard[network], self._cycle - SENDER_WINDOW_CYCLES)
 
     def measure(self, network: NetworkKind) -> tuple[float, float, float] | None:
         """(delay, plr, jitter) as the module describes them, or None unless
         some sender was heard in both the current and the previous cycle."""
-        current, previous = self._slots[network][-1], self._slots[network][-2]
+        current, previous = self._current[network], self._previous[network]
         deltas = [abs(delay - previous[s]) for s, delay in current.items()
                   if s in previous]
         if not deltas:
             return None
         n_now = len(current)
-        heard = len(set().union(*self._slots[network]))  # the window is the trailing second
+        # The window is the trailing second.
+        heard = _heard_since(self._last_heard[network], self._cycle - LOSS_WINDOW_CYCLES)
         return (sum(current.values()) / n_now, (heard - n_now) / n_now,
                 sum(deltas) / len(deltas))

@@ -93,6 +93,16 @@ def test_no_terminal_hears_itself(split):
             net: assignment[net] - (attachment[receiver] is net) for net in ALL_NETWORKS}
 
 
+def test_negative_base_delay_refused_in_sampled_cycle():
+    # validate_config refuses d0 <= 0; an unvalidated config must not record
+    # a reception that precedes its generation.
+    profiles = dict(step_cfg().profiles)
+    profiles[NetworkKind.LTE] = dataclasses.replace(profiles[NetworkKind.LTE], d0=-0.01)
+    cfg = step_cfg(num_cycles=1, profiles=profiles)
+    with pytest.raises(ValueError, match="precedes generation"):
+        run_cycle(init_state(cfg), cfg)
+
+
 def test_determinism_byte_identical():
     cfg = step_cfg(num_cycles=30)  # sampled mode, full packet pipeline
     assert render_csv(run_scenario(cfg)) == render_csv(run_scenario(cfg))

@@ -4,7 +4,7 @@ import pytest
 
 from hetsim import ground_truth_eval
 from hetsim.evaluation import net_eva, normalize
-from hetsim.netmodel import NetworkProfile, perf_at, sample_link
+from hetsim.netmodel import LinkSample, NetworkProfile, perf_at, sample_link
 
 def profile(**kw):
     base = dict(d0=0.01, a=0.1, p0=0.02, b=0.05, g0=0.002, h=0.05, cap=50,
@@ -134,3 +134,13 @@ def test_sample_link_matches_reference_draw_for_draw(plr):
     assert len(delays) == {0.0: 10_000, 0.3: pytest.approx(7_000, abs=300), 1.0: 0}[plr]
     if delays:
         assert p.d0 in delays and any(delay > p.d0 for delay in delays)
+
+
+def test_sample_link_returns_link_samples():
+    p = profile()
+    lost = sample_link(p, (0.012, 1.0, 0.01), random.Random(5))
+    delivered = sample_link(p, (0.012, 0.0, 0.01), random.Random(5))
+    assert type(lost) is LinkSample and type(delivered) is LinkSample
+    assert (lost.delivered, lost.delay) == (False, None)
+    assert delivered.delivered is True
+    assert delivered.delay == reference_sample_link(p, (0.012, 0.0, 0.01), random.Random(5))[1]

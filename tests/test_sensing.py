@@ -1,7 +1,11 @@
+import random
+from collections import deque
+from itertools import islice
+
 import pytest
 
-from hetsim.domain import NetworkKind
-from hetsim.sensing import LOSS_WINDOW_CYCLES, ReceptionLedger
+from hetsim.domain import ALL_NETWORKS, NetworkKind
+from hetsim.sensing import LOSS_WINDOW_CYCLES, SENDER_WINDOW_CYCLES, ReceptionLedger
 
 DSRC = NetworkKind.DSRC
 LTE = NetworkKind.LTE
@@ -222,3 +226,68 @@ def test_measurements_are_pure():
     second = (led.measure(DSRC), led.distinct_senders(DSRC))
     assert first == second
 
+
+class WindowLedger:
+    """Reference model: one {sender: delay} slot per cycle over the trailing
+    second, each window's senders taken as the union of its slots."""
+
+    def __init__(self):
+        self.slots = {net: deque([{}, {}], maxlen=LOSS_WINDOW_CYCLES) for net in ALL_NETWORKS}
+
+    def begin_cycle(self):
+        for net in ALL_NETWORKS:
+            self.slots[net].append({})
+
+    def record_reception(self, network, sender, delay):
+        self.slots[network][-1][sender] = delay
+
+    def distinct_senders(self, network):
+        return len(set().union(*islice(reversed(self.slots[network]), SENDER_WINDOW_CYCLES)))
+
+    def measure(self, network):
+        current, previous = self.slots[network][-1], self.slots[network][-2]
+        deltas = [abs(delay - previous[s]) for s, delay in current.items() if s in previous]
+        if not deltas:
+            return None
+        n_now = len(current)
+        heard = len(set().union(*self.slots[network]))
+        return (sum(current.values()) / n_now, (heard - n_now) / n_now,
+                sum(deltas) / len(deltas))
+
+
+@pytest.mark.parametrize("seed", range(52))
+def test_ledger_matches_window_reference(seed):
+    # 0..25 cycles, twice over. Each sender is heard with its own probability,
+    # sometimes twice in a cycle, and moves between networks; some cycles are
+    # silent. Receptions go through record_reception or, as the engine writes
+    # them, through the slots begin_cycle returns.
+    rng = random.Random(seed)
+    led, ref = ReceptionLedger(), WindowLedger()
+    presence = [rng.uniform(0.1, 0.9) for _ in range(8)]
+    network = [rng.choice(ALL_NETWORKS) for _ in presence]
+
+    def same():
+        for net in ALL_NETWORKS:
+            assert led.measure(net) == ref.measure(net)
+            assert led.distinct_senders(net) == ref.distinct_senders(net)
+
+    same()
+    for _ in range(seed % 26):
+        opened = led.begin_cycle()
+        ref.begin_cycle()
+        silent = rng.random() < 0.15
+        for sender, p in enumerate(presence):
+            if rng.random() < 0.2:
+                network[sender] = rng.choice(ALL_NETWORKS)
+            if silent or rng.random() >= p:
+                continue
+            for _ in range(2 if rng.random() < 0.2 else 1):
+                net, delay = network[sender], rng.uniform(0.0, 0.1)
+                ref.record_reception(net, sender, delay)
+                if rng.random() < 0.5:
+                    led.record_reception(net, sender, delay)
+                else:
+                    slot, last_heard, now = opened[net]
+                    slot[sender] = delay
+                    last_heard[sender] = now
+        same()
