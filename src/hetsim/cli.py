@@ -189,11 +189,13 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     cfg = _scenario(args)
     if cfg.disturbance is None:
         raise _CliError("scenario has no disturbance; nothing to predict")
-    start = cfg.disturbance.start_cycle
-    if cfg.num_cycles - start < ORACLE_TAIL:
+    dist = cfg.disturbance
+    start, first, last = dist.start_cycle, cfg.num_cycles - ORACLE_TAIL, cfg.num_cycles - 1
+    if not (dist.active_at(first) and dist.active_at(last)):
+        until = "" if dist.duration_cycles is None else f" to {start + dist.duration_cycles - 1}"
         raise _CliError(f"the simulated shift averages the last {ORACLE_TAIL} cycles, so the "
-                        f"run needs {ORACLE_TAIL} past start_cycle {start}; "
-                        f"got {cfg.num_cycles} cycles")
+                        f"disturbance must be active on cycles {first} to {last}; it is "
+                        f"active from start_cycle {start}{until}; got {cfg.num_cycles} cycles")
     records = run_scenario(cfg)
 
     disturbed = cfg.disturbance.network

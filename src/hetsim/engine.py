@@ -1,12 +1,12 @@
 """The discrete-time closed loop.
 
-Each cycle: every terminal broadcasts once on its attached network and
-the broadcasts are delivered (packet-sampled, or bypassed in direct mode
-where measurements come straight from the ground-truth curves). Then, in
-one pass, each terminal measures and scores all three networks from what
-it received, decides and moves. Every decision still comes from the
-common pre-cycle snapshot, because a terminal's move touches only its own
-slot: terminals never observe each other's same-cycle moves.
+Each cycle runs in one pass over the terminals. Each terminal hears every
+other terminal's broadcast on its pre-cycle network (packet-sampled, or
+bypassed in direct mode where measurements come straight from the
+ground-truth curves), then measures and scores all three networks from
+what it received, decides and moves. A move touches only the mover's own
+slot and the broadcasts are a pre-cycle snapshot, so terminals never
+observe each other's same-cycle moves.
 
 Randomness is confined to per-terminal substreams derived from the
 scenario seed, so runs are bit-reproducible and the order in which
@@ -115,28 +115,17 @@ def run_cycle(state: WorldState, cfg: ScenarioConfig,
             for net in ALL_NETWORKS
         }
     else:
-        opened = [ledger.begin_cycle() for ledger in ledgers]
-        hearers = {net: [(rng, slots[net]) for rng, slots in zip(rngs, opened)]
-                   for net in ALL_NETWORKS}
+        links = []
         for sender, net in enumerate(attachment):
             profile = profiles[net]
             # A delivered delay is never below d0, so d0 >= 0 keeps every
             # reception after its generation.
             if profile.d0 < 0:
                 raise ValueError(f"reception precedes generation (d0 {profile.d0})")
-            curve = curves[net]
-            on_net = hearers[net]
-            for rng, (slot, last_heard, now) in on_net[:sender] + on_net[sender + 1:]:
-                delivered, delay = sample(profile, curve, rng)
-                if delivered:
-                    # Delay as reception time minus generation time, the way a
-                    # receiver computes it; the float round trip is kept on
-                    # purpose, since it shifts the last bits of the delay.
-                    slot[sender] = (gen_time + delay) - gen_time
-                    last_heard[sender] = now
+            links.append((sender, net, profile, curves[net]))
 
-    # A terminal reads only its own slots, counts_pre, curves and penalty,
-    # and moves only itself, so each decides from the common snapshot.
+    # A terminal hears the pre-cycle links, reads only its own slots, counts_pre,
+    # curves and penalty, and moves only itself: all decide from one snapshot.
     game = cfg.strategy_kind is StrategyKind.GAME
     noise = cfg.noise_amplitude
     # The noise is rng.randint(-noise, noise), drawn inline the way CPython
@@ -156,6 +145,15 @@ def run_cycle(state: WorldState, cfg: ScenarioConfig,
             x_current = counts_pre[current] - 1
         else:
             ledger = ledgers[i]
+            slots = ledger.begin_cycle()
+            for sender, net, profile, curve in links[:i] + links[i + 1:]:
+                delivered, delay = sample(profile, curve, rng)
+                if delivered:
+                    slot, last_heard, now = slots[net]
+                    # Reception minus generation time, as a receiver computes it:
+                    # the round trip is kept on purpose, as it shifts the last bits.
+                    slot[sender] = (gen_time + delay) - gen_time
+                    last_heard[sender] = now
             evals = {
                 net: evaluate_network(ledger.measure(net), profiles[net], penalty[net])
                 for net in ALL_NETWORKS

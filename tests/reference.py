@@ -1,0 +1,144 @@
+"""A plain reference engine, for exact record equality with `run_scenario`.
+
+It runs the cycle as the docs state it, with none of the engine's hot-path
+idioms:
+
+* sender-major delivery over every ordered (sender, receiver) pair, each
+  link drawn from the receiver's stream: the loss draw, then, for a
+  delivered packet, `rng.uniform(-jitter, jitter)` around the mean delay,
+  floored at d0 by `max`;
+* `WindowLedger`, one {sender: delay} slot per cycle over the trailing
+  second;
+* the noise as `rng.randint(-a, a)`, the perceived count clipped at 0;
+* counts recomputed from the attachment every cycle.
+
+It reuses `substream_seed`, `perf_at`, `evaluate_network`, `decide_game`
+and `decide_baseline`, which have oracles of their own.
+"""
+
+import random
+from collections import deque
+from itertools import islice
+
+from hetsim.domain import (
+    ALL_NETWORKS,
+    CYCLE_S,
+    MeasurementMode,
+    NetworkKind,
+    ScenarioConfig,
+    StrategyKind,
+)
+from hetsim.engine import CycleRecord, substream_seed
+from hetsim.evaluation import evaluate_network
+from hetsim.netmodel import perf_at
+from hetsim.strategy import decide_baseline, decide_game
+
+DSRC = NetworkKind.DSRC
+#: The windows as the docs state them: the sender count spans three cycles,
+#: the loss estimate the trailing second.
+SENDER_WINDOW_CYCLES = 3
+LOSS_WINDOW_CYCLES = round(1 / CYCLE_S)
+
+
+class WindowLedger:
+    """Reference model: one {sender: delay} slot per cycle over the trailing
+    second, each window's senders taken as the union of its slots."""
+
+    def __init__(self):
+        self.slots = {net: deque([{}, {}], maxlen=LOSS_WINDOW_CYCLES) for net in ALL_NETWORKS}
+
+    def begin_cycle(self):
+        for net in ALL_NETWORKS:
+            self.slots[net].append({})
+
+    def record_reception(self, network, sender, delay):
+        self.slots[network][-1][sender] = delay
+
+    def distinct_senders(self, network):
+        return len(set().union(*islice(reversed(self.slots[network]), SENDER_WINDOW_CYCLES)))
+
+    def measure(self, network):
+        current, previous = self.slots[network][-1], self.slots[network][-2]
+        deltas = [abs(delay - previous[s]) for s, delay in current.items() if s in previous]
+        if not deltas:
+            return None
+        n_now = len(current)
+        heard = len(set().union(*self.slots[network]))
+        return (sum(current.values()) / n_now, (heard - n_now) / n_now,
+                sum(deltas) / len(deltas))
+
+
+def reference_run(cfg: ScenarioConfig) -> list[CycleRecord]:
+    """The records of `run_scenario(cfg)`, computed the plain way."""
+    attachment = [net for net in ALL_NETWORKS for _ in range(cfg.initial_assignment.get(net, 0))]
+    n = len(attachment)
+    rngs = [random.Random(substream_seed(cfg.seed, i)) for i in range(n)]
+    counters = [0] * n
+    sampled = cfg.measurement_mode is MeasurementMode.SAMPLED
+    ledgers = [WindowLedger() for _ in range(n)]
+    records = []
+    for t in range(cfg.num_cycles):
+        gen_time = t * CYCLE_S
+        counts = {net: attachment.count(net) for net in ALL_NETWORKS}
+        curves = {net: perf_at(cfg.profiles[net], counts[net]) for net in ALL_NETWORKS}
+        penalty = {net: 0.0 for net in ALL_NETWORKS}
+        if cfg.disturbance is not None and cfg.disturbance.active_at(t):
+            penalty[cfg.disturbance.network] = cfg.disturbance.delta_e
+
+        if sampled:
+            for ledger in ledgers:
+                ledger.begin_cycle()
+            for sender, net in enumerate(attachment):
+                profile = cfg.profiles[net]
+                delay, plr, jitter = curves[net]
+                for receiver, rng in enumerate(rngs):
+                    if receiver == sender or rng.random() < plr:
+                        continue
+                    observed = max(delay + rng.uniform(-jitter, jitter), profile.d0)
+                    reception_time = gen_time + observed
+                    ledgers[receiver].record_reception(net, sender, reception_time - gen_time)
+
+        before = list(attachment)
+        handoffs = 0
+        score_sum = 0.0
+        for i, current in enumerate(before):
+            rng = rngs[i]
+            if sampled:
+                evals = {net: evaluate_network(ledgers[i].measure(net), cfg.profiles[net],
+                                               penalty[net])
+                         for net in ALL_NETWORKS}
+                x_current = ledgers[i].distinct_senders(current)
+                x_dsrc = ledgers[i].distinct_senders(DSRC) + (current is DSRC)
+            else:
+                evals = {net: evaluate_network(curves[net] if counts[net] else None,
+                                               cfg.profiles[net], penalty[net])
+                         for net in ALL_NETWORKS}
+                x_current = counts[current] - 1
+                x_dsrc = counts[DSRC]
+            if cfg.noise_amplitude:
+                noise = rng.randint(-cfg.noise_amplitude, cfg.noise_amplitude)
+                x_dsrc = max(0, x_dsrc + noise)
+            score_sum += evals[current].score
+            if cfg.strategy_kind is StrategyKind.GAME:
+                decision = decide_game(current, x_dsrc, x_current, evals, counters[i],
+                                       cfg.strategy, rng)
+            else:
+                decision = decide_baseline(current, evals, counters[i])
+            counters[i] = decision.new_counter_c
+            if decision.target is not None:
+                attachment[i] = decision.target
+                handoffs += 1
+
+        records.append(CycleRecord(
+            cycle=t,
+            time_s=gen_time,
+            counts={net: attachment.count(net) for net in ALL_NETWORKS},
+            handoffs=handoffs,
+            avg_score=score_sum / n,
+            net_score={net: evaluate_network(curves[net], cfg.profiles[net], penalty[net]).score
+                       for net in ALL_NETWORKS},
+            net_delay={net: curves[net][0] for net in ALL_NETWORKS},
+            net_plr={net: curves[net][1] for net in ALL_NETWORKS},
+            net_jit={net: curves[net][2] for net in ALL_NETWORKS},
+        ))
+    return records

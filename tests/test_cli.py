@@ -270,6 +270,26 @@ def test_oracle_refuses_run_shorter_than_tail_past_disturbance(capsys):
     assert main(["oracle", LINEAR, "--num-cycles", "60"]) == 0
 
 
+def test_oracle_refuses_disturbance_ending_before_tail(tmp_path, capsys):
+    # A 10-cycle disturbance from cycle 30 is over long before the last 30
+    # cycles of the 150-cycle run, so their mean measures no shift at all.
+    path = mutated_scenario(tmp_path, "short.json",
+                            lambda d: d["disturbance"].update(duration_cycles=10),
+                            base=LINEAR)
+    assert main(["oracle", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "cycles 120 to 149" in captured.err
+    assert "start_cycle 30 to 39" in captured.err
+    # Active through the last cycle (start_cycle + duration_cycles == num_cycles).
+    path = mutated_scenario(tmp_path, "to_end.json",
+                            lambda d: d["disturbance"].update(duration_cycles=120),
+                            base=LINEAR)
+    assert main(["oracle", path]) == 0
+    assert "predicted shift:         7" in capsys.readouterr().out
+    assert main(["oracle", path, "--num-cycles", "151"]) == 1
+
+
 def test_oracle_without_disturbance_exits_1(capsys):
     code = main(["oracle", STEP])
     assert code == 1

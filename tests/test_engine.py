@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -25,6 +26,7 @@ from hetsim.engine import (
 )
 from hetsim.netmodel import NetworkProfile, perf_at
 from hetsim.report import render_csv
+from hetsim.sensing import ReceptionLedger
 from hetsim.strategy import Decision, p_degraded, p_overload, p_return, update_counter
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -101,6 +103,47 @@ def test_negative_base_delay_refused_in_sampled_cycle():
     cfg = step_cfg(num_cycles=1, profiles=profiles)
     with pytest.raises(ValueError, match="precedes generation"):
         run_cycle(init_state(cfg), cfg)
+
+
+@pytest.mark.parametrize("kind", list(StrategyKind), ids=lambda k: k.value)
+@pytest.mark.parametrize("mode", list(MeasurementMode), ids=lambda m: m.value)
+def test_cycle_calls_match_traced_benchmark_closed_forms(monkeypatch, mode, kind):
+    # The traced benchmark wraps these names and pins their calls per cycle
+    # (and reads .delivered on each link), so a kernel that bypasses one of
+    # them fails here before it fails there.
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    sample_link = engine.sample_link
+
+    def counted_link(*args):
+        link = sample_link(*args)
+        calls["sample_link"] += 1
+        calls["delivered"] += link.delivered
+        return link
+
+    monkeypatch.setattr(engine, "sample_link", counted_link)
+    monkeypatch.setattr(ReceptionLedger, "begin_cycle",
+                        counted("begin_cycle", ReceptionLedger.begin_cycle))
+    monkeypatch.setattr(engine, "evaluate_network",
+                        counted("evaluate_network", engine.evaluate_network))
+    monkeypatch.setattr(engine, "decide_game", counted("decide", engine.decide_game))
+    monkeypatch.setattr(engine, "decide_baseline", counted("decide", engine.decide_baseline))
+    cfg = step_cfg(num_cycles=4, measurement_mode=mode, strategy_kind=kind)
+    n, sampled = cfg.total_terminals, mode is MeasurementMode.SAMPLED
+    run_scenario(cfg)
+    delivered = calls.pop("delivered", 0)
+    per_cycle = {"sample_link": n * (n - 1) if sampled else 0,
+                 "begin_cycle": n if sampled else 0,
+                 "evaluate_network": 3 * n + 3 if sampled else 6,
+                 "decide": n}
+    assert calls == Counter({name: c * cfg.num_cycles for name, c in per_cycle.items()})
+    assert (0 < delivered < calls["sample_link"]) if sampled else delivered == 0
 
 
 def test_determinism_byte_identical():

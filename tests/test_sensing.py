@@ -1,11 +1,10 @@
 import random
-from collections import deque
-from itertools import islice
 
 import pytest
+from reference import WindowLedger
 
 from hetsim.domain import ALL_NETWORKS, NetworkKind
-from hetsim.sensing import LOSS_WINDOW_CYCLES, SENDER_WINDOW_CYCLES, ReceptionLedger
+from hetsim.sensing import LOSS_WINDOW_CYCLES, ReceptionLedger
 
 DSRC = NetworkKind.DSRC
 LTE = NetworkKind.LTE
@@ -225,34 +224,6 @@ def test_measurements_are_pure():
     first = (led.measure(DSRC), led.distinct_senders(DSRC))
     second = (led.measure(DSRC), led.distinct_senders(DSRC))
     assert first == second
-
-
-class WindowLedger:
-    """Reference model: one {sender: delay} slot per cycle over the trailing
-    second, each window's senders taken as the union of its slots."""
-
-    def __init__(self):
-        self.slots = {net: deque([{}, {}], maxlen=LOSS_WINDOW_CYCLES) for net in ALL_NETWORKS}
-
-    def begin_cycle(self):
-        for net in ALL_NETWORKS:
-            self.slots[net].append({})
-
-    def record_reception(self, network, sender, delay):
-        self.slots[network][-1][sender] = delay
-
-    def distinct_senders(self, network):
-        return len(set().union(*islice(reversed(self.slots[network]), SENDER_WINDOW_CYCLES)))
-
-    def measure(self, network):
-        current, previous = self.slots[network][-1], self.slots[network][-2]
-        deltas = [abs(delay - previous[s]) for s, delay in current.items() if s in previous]
-        if not deltas:
-            return None
-        n_now = len(current)
-        heard = len(set().union(*self.slots[network]))
-        return (sum(current.values()) / n_now, (heard - n_now) / n_now,
-                sum(deltas) / len(deltas))
 
 
 @pytest.mark.parametrize("seed", range(52))
