@@ -122,7 +122,7 @@ def run_cycle(state: WorldState, cfg: ScenarioConfig,
             # reception after its generation.
             if profile.d0 < 0:
                 raise ValueError(f"reception precedes generation (d0 {profile.d0})")
-            links.append((sender, net, profile, curves[net]))
+            links.append((sender, ALL_NETWORKS.index(net), profile, curves[net]))
 
     # A terminal hears the pre-cycle links, reads only its own slots, counts_pre,
     # curves and penalty, and moves only itself: all decide from one snapshot.
@@ -146,14 +146,9 @@ def run_cycle(state: WorldState, cfg: ScenarioConfig,
         else:
             ledger = ledgers[i]
             slots = ledger.begin_cycle()
-            for sender, net, profile, curve in links[:i] + links[i + 1:]:
-                delivered, delay = sample(profile, curve, rng)
-                if delivered:
-                    slot, last_heard, now = slots[net]
-                    # Reception minus generation time, as a receiver computes it:
-                    # the round trip is kept on purpose, as it shifts the last bits.
-                    slot[sender] = (gen_time + delay) - gen_time
-                    last_heard[sender] = now
+            for sender, slot_index, profile, curve in links[:i] + links[i + 1:]:
+                sample(profile, curve, rng, gen_time, slots[slot_index], sender)
+            ledger.stamp_heard()
             evals = {
                 net: evaluate_network(ledger.measure(net), profiles[net], penalty[net])
                 for net in ALL_NETWORKS

@@ -39,16 +39,14 @@ class NetworkProfile:
 
 
 class LinkSample(NamedTuple):
-    """Outcome of one broadcast link: lost, or delivered after `delay`."""
+    """Outcome of one broadcast link: heard or lost."""
 
     delivered: bool
-    delay: float | None = None
 
 
-# LinkSample(...) runs NamedTuple's Python-level __new__; every lost link
-# shares one result and a delivered one is built directly.
-_LOST = LinkSample(False)
-_new = tuple.__new__
+# Every link shares one of two results, so none is built per packet.
+HEARD = LinkSample(True)
+LOST = LinkSample(False)
 
 
 def perf_at(profile: NetworkProfile, n: int) -> tuple[float, float, float]:
@@ -63,17 +61,21 @@ def perf_at(profile: NetworkProfile, n: int) -> tuple[float, float, float]:
 
 
 def sample_link(profile: NetworkProfile, curve: tuple[float, float, float],
-                rng: random.Random) -> LinkSample:
+                rng: random.Random, gen_time: float, slot: dict[int, float],
+                sender: int) -> LinkSample:
     """Sample one link outcome from the network's `perf_at` curve value this cycle.
 
     Delivery succeeds with probability 1 - plr; only a delivered packet
     draws its jitter, a uniform perturbation of half-width jitter around
-    the mean delay, and its delay is never below the base delay d0.
+    the mean delay, and its delay is never below the base delay d0. A
+    delivered packet sets `slot[sender]` to its reception time minus
+    `gen_time`, as a receiver computes it: that round trip shifts the last bits.
     """
     delay, plr, jitter = curve
     if rng.random() < plr:
-        return _LOST
+        return LOST
     # rng.uniform(-jitter, jitter) and max(observed, d0), written out: the same
     # draw and the same float, without two Python-level calls per packet.
     observed = delay + (-jitter + (jitter + jitter) * rng.random())
-    return _new(LinkSample, (True, profile.d0 if profile.d0 > observed else observed))
+    slot[sender] = (gen_time + (profile.d0 if profile.d0 > observed else observed)) - gen_time
+    return HEARD

@@ -54,18 +54,19 @@ class ReceptionLedger:
         self._current: dict[NetworkKind, dict[int, float]] = {n: {} for n in ALL_NETWORKS}
         self._last_heard: dict[NetworkKind, dict[int, int]] = {n: {} for n in ALL_NETWORKS}
 
-    def begin_cycle(self) -> dict[NetworkKind, tuple[dict[int, float], dict[int, int], int]]:
-        """Open a new (empty) cycle slot; receptions land in the open slot.
-
-        Returns, per network, (slot, last_heard, cycle): a reception writes
-        `slot[sender] = delay` and `last_heard[sender] = cycle`, as
-        `record_reception` does.
-        """
-        self._cycle = cycle = self._cycle + 1
+    def begin_cycle(self) -> tuple[dict[int, float], ...]:
+        """Open an empty {sender: delay} slot per network and return them in
+        `ALL_NETWORKS` order. A caller that writes into them calls
+        `stamp_heard` once after its writes; `record_reception` does both."""
+        self._cycle += 1
         self._previous = self._current
-        self._current = current = {net: {} for net in ALL_NETWORKS}
-        last_heard = self._last_heard
-        return {net: (current[net], last_heard[net], cycle) for net in ALL_NETWORKS}
+        self._current = {net: {} for net in ALL_NETWORKS}
+        return tuple(self._current.values())
+
+    def stamp_heard(self) -> None:
+        """Mark every sender in the open slots as heard this cycle."""
+        for net, slot in self._current.items():
+            self._last_heard[net].update(dict.fromkeys(slot, self._cycle))
 
     def record_reception(self, network: NetworkKind, sender: int, delay: float) -> None:
         """Log one broadcast received this cycle; a repeated sender keeps the latest."""

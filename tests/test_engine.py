@@ -112,6 +112,7 @@ def test_cycle_calls_match_traced_benchmark_closed_forms(monkeypatch, mode, kind
     # (and reads .delivered on each link), so a kernel that bypasses one of
     # them fails here before it fails there.
     calls = Counter()
+    opened = []
 
     def counted(name, fn):
         def wrapper(*args):
@@ -119,7 +120,13 @@ def test_cycle_calls_match_traced_benchmark_closed_forms(monkeypatch, mode, kind
             return fn(*args)
         return wrapper
 
-    sample_link = engine.sample_link
+    sample_link, begin_cycle = engine.sample_link, ReceptionLedger.begin_cycle
+
+    def counted_begin(ledger):
+        calls["begin_cycle"] += 1
+        slots = begin_cycle(ledger)
+        opened.append(slots)
+        return slots
 
     def counted_link(*args):
         link = sample_link(*args)
@@ -128,15 +135,20 @@ def test_cycle_calls_match_traced_benchmark_closed_forms(monkeypatch, mode, kind
         return link
 
     monkeypatch.setattr(engine, "sample_link", counted_link)
-    monkeypatch.setattr(ReceptionLedger, "begin_cycle",
-                        counted("begin_cycle", ReceptionLedger.begin_cycle))
+    monkeypatch.setattr(ReceptionLedger, "begin_cycle", counted_begin)
     monkeypatch.setattr(engine, "evaluate_network",
                         counted("evaluate_network", engine.evaluate_network))
     monkeypatch.setattr(engine, "decide_game", counted("decide", engine.decide_game))
     monkeypatch.setattr(engine, "decide_baseline", counted("decide", engine.decide_baseline))
     cfg = step_cfg(num_cycles=4, measurement_mode=mode, strategy_kind=kind)
     n, sampled = cfg.total_terminals, mode is MeasurementMode.SAMPLED
-    run_scenario(cfg)
+    state = init_state(cfg)
+    for _ in range(cfg.num_cycles):
+        opened.clear()
+        before = calls["delivered"]
+        state, _ = run_cycle(state, cfg)
+        # Each delivered link is one entry in its receiver's open slots.
+        assert calls["delivered"] - before == sum(len(slot) for slots in opened for slot in slots)
     delivered = calls.pop("delivered", 0)
     per_cycle = {"sample_link": n * (n - 1) if sampled else 0,
                  "begin_cycle": n if sampled else 0,

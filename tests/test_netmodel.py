@@ -3,8 +3,12 @@ import random
 import pytest
 
 from hetsim import ground_truth_eval
+from hetsim.domain import CYCLE_S
 from hetsim.evaluation import net_eva, normalize
-from hetsim.netmodel import LinkSample, NetworkProfile, perf_at, sample_link
+from hetsim.netmodel import HEARD, LOST, LinkSample, NetworkProfile, perf_at, sample_link
+
+#: A generation time whose round trip moves the last bits of most delays.
+GEN_TIME = 37 * CYCLE_S
 
 def profile(**kw):
     base = dict(d0=0.01, a=0.1, p0=0.02, b=0.05, g0=0.002, h=0.05, cap=50,
@@ -77,26 +81,28 @@ def test_ground_truth_eval_halfway():
 def test_sample_link_certain_loss():
     rng = random.Random(1)
     p_full = profile(p0=0.5, b=2.0)  # plr clamps to 1 at n = 100
-    for _ in range(100):
-        assert not sample_link(p_full, perf_at(p_full, 100), rng).delivered
+    slot = {}
+    for sender in range(100):
+        assert sample_link(p_full, perf_at(p_full, 100), rng, GEN_TIME, slot, sender) is LOST
+    assert slot == {}
 
 
 def test_sample_link_degenerate_delay():
     p = profile(p0=0.0, b=0.0, g0=1e-12, h=0.0)
     rng = random.Random(2)
-    sample = sample_link(p, perf_at(p, 10), rng)
-    assert sample.delivered
+    slot = {}
+    assert sample_link(p, perf_at(p, 10), rng, 0.0, slot, 4) is HEARD
     delay, _, _ = perf_at(p, 10)
-    assert sample.delay == pytest.approx(delay, abs=1e-9)
+    assert slot == {4: pytest.approx(delay, abs=1e-9)}
 
 
 def test_sample_link_delay_never_below_base():
     p = profile(h=2.0)  # jitter wide enough to push raw delays negative
     rng = random.Random(3)
-    for _ in range(2000):
-        s = sample_link(p, perf_at(p, 5), rng)
-        if s.delivered:
-            assert s.delay >= p.d0
+    slot = {}
+    for sender in range(2000):
+        sample_link(p, perf_at(p, 5), rng, 0.0, slot, sender)
+    assert slot and min(slot.values()) >= p.d0
 
 
 def test_sample_link_delivery_rate_matches_plr():
@@ -105,19 +111,23 @@ def test_sample_link_delivery_rate_matches_plr():
     rng = random.Random(12345)
     trials = 100_000
     curve = perf_at(p, 10)
-    delivered = sum(sample_link(p, curve, rng).delivered for _ in range(trials))
+    slot = {}
+    delivered = sum(sample_link(p, curve, rng, GEN_TIME, slot, s).delivered for s in range(trials))
+    assert len(slot) == delivered
     rate = delivered / trials
     sigma = (0.75 * 0.25 / trials) ** 0.5
     assert abs(rate - 0.75) <= 3 * sigma
     assert abs(rate - 0.75) <= 0.01
 
 
-def reference_sample_link(p, curve, rng):
-    """The draws and floor sample_link must match, spelled with rng.uniform and max."""
+def reference_sample_link(p, curve, rng, gen_time):
+    """The draws, floor and written delay sample_link must match, spelled with
+    rng.uniform and max: (delivered, reception time minus generation time)."""
     delay, plr, jitter = curve
     if rng.random() < plr:
         return False, None
-    return True, max(delay + rng.uniform(-jitter, jitter), p.d0)
+    reception_time = gen_time + max(delay + rng.uniform(-jitter, jitter), p.d0)
+    return True, reception_time - gen_time
 
 
 @pytest.mark.parametrize("plr", [0.0, 0.3, 1.0])
@@ -126,21 +136,33 @@ def test_sample_link_matches_reference_draw_for_draw(plr):
     p = profile()
     curve = (0.012, plr, 0.01)
     fast, ref = random.Random(2024), random.Random(2024)
-    got = [(s.delivered, s.delay) for s in (sample_link(p, curve, fast) for _ in range(10_000))]
-    want = [reference_sample_link(p, curve, ref) for _ in range(10_000)]
+    got = []
+    for sender in range(10_000):
+        slot = {}
+        outcome = sample_link(p, curve, fast, GEN_TIME, slot, sender)
+        assert outcome is (HEARD if slot else LOST)
+        # HEARD leaves exactly one entry, the sender's; LOST leaves none.
+        got.append((True, slot.pop(sender)) if outcome.delivered else (False, None))
+        assert slot == {}
+    want = [reference_sample_link(p, curve, ref, GEN_TIME) for _ in range(10_000)]
     assert got == want
     assert fast.getstate() == ref.getstate()
     delays = [delay for delivered, delay in want if delivered]
     assert len(delays) == {0.0: 10_000, 0.3: pytest.approx(7_000, abs=300), 1.0: 0}[plr]
     if delays:
-        assert p.d0 in delays and any(delay > p.d0 for delay in delays)
+        floor = (GEN_TIME + p.d0) - GEN_TIME
+        assert floor in delays and any(delay > floor for delay in delays)
+        # The round trip moves the last bits, so a slot holding the plain delay fails.
+        plain = random.Random(2024)
+        assert want != [reference_sample_link(p, curve, plain, 0.0) for _ in range(10_000)]
 
 
 def test_sample_link_returns_link_samples():
     p = profile()
-    lost = sample_link(p, (0.012, 1.0, 0.01), random.Random(5))
-    delivered = sample_link(p, (0.012, 0.0, 0.01), random.Random(5))
-    assert type(lost) is LinkSample and type(delivered) is LinkSample
-    assert (lost.delivered, lost.delay) == (False, None)
-    assert delivered.delivered is True
-    assert delivered.delay == reference_sample_link(p, (0.012, 0.0, 0.01), random.Random(5))[1]
+    slot = {}
+    lost = sample_link(p, (0.012, 1.0, 0.01), random.Random(5), GEN_TIME, slot, 3)
+    heard = sample_link(p, (0.012, 0.0, 0.01), random.Random(5), GEN_TIME, slot, 3)
+    assert LinkSample._fields == ("delivered",)
+    assert (lost, heard) == (LinkSample(False), LinkSample(True))
+    assert lost is LOST and heard is HEARD
+    assert slot == {3: reference_sample_link(p, (0.012, 0.0, 0.01), random.Random(5), GEN_TIME)[1]}

@@ -22,6 +22,7 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
+from reference import reference_run  # noqa: E402
 
 from hetsim.cli import main  # noqa: E402
 from hetsim.domain import (  # noqa: E402
@@ -140,6 +141,18 @@ def test_accepted_config_runs_finite_conserving_and_reproducible(cfg):
         assert all(math.isfinite(x) for x in _floats(record)), record
     assert math.isfinite(summarize(records).mean_avg_score)
     assert render_csv(run_scenario(cfg)) == render_csv(records)
+
+
+@CHECKS
+@given(configs())
+@example(BIG_WIFI_DELAY)
+@example(BIG_PENALTY)
+@example(BIG_MEASURED_DELAY)
+def test_accepted_config_matches_reference(cfg):
+    # Record equality compares every float exactly, where the CSV shows 6 decimals.
+    if validate_config(cfg):
+        return
+    assert run_scenario(cfg) == reference_run(cfg)
 
 
 @CHECKS

@@ -231,7 +231,7 @@ def test_ledger_matches_window_reference(seed):
     # 0..25 cycles, twice over. Each sender is heard with its own probability,
     # sometimes twice in a cycle, and moves between networks; some cycles are
     # silent. Receptions go through record_reception or, as the engine writes
-    # them, through the slots begin_cycle returns.
+    # them, into the slots begin_cycle returns, stamped by one stamp_heard.
     rng = random.Random(seed)
     led, ref = ReceptionLedger(), WindowLedger()
     presence = [rng.uniform(0.1, 0.9) for _ in range(8)]
@@ -247,6 +247,7 @@ def test_ledger_matches_window_reference(seed):
         opened = led.begin_cycle()
         ref.begin_cycle()
         silent = rng.random() < 0.15
+        into_slots = False
         for sender, p in enumerate(presence):
             if rng.random() < 0.2:
                 network[sender] = rng.choice(ALL_NETWORKS)
@@ -258,7 +259,10 @@ def test_ledger_matches_window_reference(seed):
                 if rng.random() < 0.5:
                     led.record_reception(net, sender, delay)
                 else:
-                    slot, last_heard, now = opened[net]
-                    slot[sender] = delay
-                    last_heard[sender] = now
+                    opened[ALL_NETWORKS.index(net)][sender] = delay
+                    into_slots = True
+        # Only slot writes need the stamp: a cycle of record_reception alone
+        # must stamp its senders itself.
+        if into_slots:
+            led.stamp_heard()
         same()
