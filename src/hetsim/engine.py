@@ -117,12 +117,11 @@ def run_cycle(state: WorldState, cfg: ScenarioConfig,
     else:
         links = []
         for sender, net in enumerate(attachment):
-            profile = profiles[net]
-            # A delivered delay is never below d0, so d0 >= 0 keeps every
-            # reception after its generation.
-            if profile.d0 < 0:
-                raise ValueError(f"reception precedes generation (d0 {profile.d0})")
-            links.append((sender, ALL_NETWORKS.index(net), profile, curves[net]))
+            d0 = profiles[net].d0
+            # No delivered delay is below d0: d0 >= 0 keeps receptions after generation.
+            if d0 < 0:
+                raise ValueError(f"reception precedes generation (d0 {d0})")
+            links.append((sender, ALL_NETWORKS.index(net), d0, *curves[net]))
 
     # A terminal hears the pre-cycle links, reads only its own slots, counts_pre,
     # curves and penalty, and moves only itself: all decide from one snapshot.
@@ -146,8 +145,9 @@ def run_cycle(state: WorldState, cfg: ScenarioConfig,
         else:
             ledger = ledgers[i]
             slots = ledger.begin_cycle()
-            for sender, slot_index, profile, curve in links[:i] + links[i + 1:]:
-                sample(profile, curve, rng, gen_time, slots[slot_index], sender)
+            rand = rng.random
+            for link in links[:i] + links[i + 1:]:
+                sample(link, rand, gen_time, slots)
             ledger.stamp_heard()
             evals = {
                 net: evaluate_network(ledger.measure(net), profiles[net], penalty[net])

@@ -13,9 +13,8 @@ expectation.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 
 @dataclass(frozen=True)
@@ -60,22 +59,23 @@ def perf_at(profile: NetworkProfile, n: int) -> tuple[float, float, float]:
     return delay, plr, jitter
 
 
-def sample_link(profile: NetworkProfile, curve: tuple[float, float, float],
-                rng: random.Random, gen_time: float, slot: dict[int, float],
-                sender: int) -> LinkSample:
-    """Sample one link outcome from the network's `perf_at` curve value this cycle.
+def sample_link(link: tuple[int, int, float, float, float, float],
+                random: Callable[[], float], gen_time: float,
+                slots: tuple[dict[int, float], ...]) -> LinkSample:
+    """Sample one link from its sender's (sender, slot_index, d0, delay, plr, jitter).
 
-    Delivery succeeds with probability 1 - plr; only a delivered packet
-    draws its jitter, a uniform perturbation of half-width jitter around
-    the mean delay, and its delay is never below the base delay d0. A
-    delivered packet sets `slot[sender]` to its reception time minus
-    `gen_time`, as a receiver computes it: that round trip shifts the last bits.
+    Delivery succeeds with probability 1 - plr, drawn by the receiver's
+    `random`; only a delivered packet draws its jitter, a uniform
+    perturbation of half-width jitter around the mean delay, and its delay
+    is never below the base delay d0. A delivered packet sets
+    `slots[slot_index][sender]` to its reception time minus `gen_time`, as a
+    receiver computes it: that round trip shifts the last bits.
     """
-    delay, plr, jitter = curve
-    if rng.random() < plr:
+    sender, slot_index, d0, delay, plr, jitter = link
+    if random() < plr:
         return LOST
     # rng.uniform(-jitter, jitter) and max(observed, d0), written out: the same
     # draw and the same float, without two Python-level calls per packet.
-    observed = delay + (-jitter + (jitter + jitter) * rng.random())
-    slot[sender] = (gen_time + (profile.d0 if profile.d0 > observed else observed)) - gen_time
+    observed = delay + (-jitter + (jitter + jitter) * random())
+    slots[slot_index][sender] = (gen_time + (d0 if d0 > observed else observed)) - gen_time
     return HEARD

@@ -78,22 +78,28 @@ def test_ground_truth_eval_halfway():
     assert ground_truth_eval(p, 1) == pytest.approx(0.5, abs=1e-12)
 
 
+def link(p, curve, sender, slot_index=0):
+    """The engine's packed link: (sender, slot_index, d0, delay, plr, jitter)."""
+    return (sender, slot_index, p.d0, *curve)
+
+
 def test_sample_link_certain_loss():
     rng = random.Random(1)
     p_full = profile(p0=0.5, b=2.0)  # plr clamps to 1 at n = 100
-    slot = {}
+    slots = ({},)
     for sender in range(100):
-        assert sample_link(p_full, perf_at(p_full, 100), rng, GEN_TIME, slot, sender) is LOST
-    assert slot == {}
+        assert sample_link(link(p_full, perf_at(p_full, 100), sender), rng.random,
+                           GEN_TIME, slots) is LOST
+    assert slots == ({},)
 
 
 def test_sample_link_degenerate_delay():
     p = profile(p0=0.0, b=0.0, g0=1e-12, h=0.0)
     rng = random.Random(2)
-    slot = {}
-    assert sample_link(p, perf_at(p, 10), rng, 0.0, slot, 4) is HEARD
+    slots = ({}, {}, {})
+    assert sample_link(link(p, perf_at(p, 10), 4, slot_index=2), rng.random, 0.0, slots) is HEARD
     delay, _, _ = perf_at(p, 10)
-    assert slot == {4: pytest.approx(delay, abs=1e-9)}
+    assert slots == ({}, {}, {4: pytest.approx(delay, abs=1e-9)})
 
 
 def test_sample_link_delay_never_below_base():
@@ -101,7 +107,7 @@ def test_sample_link_delay_never_below_base():
     rng = random.Random(3)
     slot = {}
     for sender in range(2000):
-        sample_link(p, perf_at(p, 5), rng, 0.0, slot, sender)
+        sample_link(link(p, perf_at(p, 5), sender), rng.random, 0.0, (slot,))
     assert slot and min(slot.values()) >= p.d0
 
 
@@ -112,7 +118,8 @@ def test_sample_link_delivery_rate_matches_plr():
     trials = 100_000
     curve = perf_at(p, 10)
     slot = {}
-    delivered = sum(sample_link(p, curve, rng, GEN_TIME, slot, s).delivered for s in range(trials))
+    delivered = sum(sample_link(link(p, curve, s), rng.random, GEN_TIME, (slot,)).delivered
+                    for s in range(trials))
     assert len(slot) == delivered
     rate = delivered / trials
     sigma = (0.75 * 0.25 / trials) ** 0.5
@@ -138,12 +145,12 @@ def test_sample_link_matches_reference_draw_for_draw(plr):
     fast, ref = random.Random(2024), random.Random(2024)
     got = []
     for sender in range(10_000):
-        slot = {}
-        outcome = sample_link(p, curve, fast, GEN_TIME, slot, sender)
-        assert outcome is (HEARD if slot else LOST)
-        # HEARD leaves exactly one entry, the sender's; LOST leaves none.
-        got.append((True, slot.pop(sender)) if outcome.delivered else (False, None))
-        assert slot == {}
+        slots = ({}, {})
+        outcome = sample_link(link(p, curve, sender, slot_index=1), fast.random, GEN_TIME, slots)
+        assert outcome is (HEARD if slots[1] else LOST)
+        # HEARD leaves exactly one entry, the sender's, in its slot; LOST leaves none.
+        got.append((True, slots[1].pop(sender)) if outcome.delivered else (False, None))
+        assert slots == ({}, {})
     want = [reference_sample_link(p, curve, ref, GEN_TIME) for _ in range(10_000)]
     assert got == want
     assert fast.getstate() == ref.getstate()
@@ -159,10 +166,11 @@ def test_sample_link_matches_reference_draw_for_draw(plr):
 
 def test_sample_link_returns_link_samples():
     p = profile()
-    slot = {}
-    lost = sample_link(p, (0.012, 1.0, 0.01), random.Random(5), GEN_TIME, slot, 3)
-    heard = sample_link(p, (0.012, 0.0, 0.01), random.Random(5), GEN_TIME, slot, 3)
+    slots = ({},)
+    lost = sample_link(link(p, (0.012, 1.0, 0.01), 3), random.Random(5).random, GEN_TIME, slots)
+    heard = sample_link(link(p, (0.012, 0.0, 0.01), 3), random.Random(5).random, GEN_TIME, slots)
     assert LinkSample._fields == ("delivered",)
     assert (lost, heard) == (LinkSample(False), LinkSample(True))
     assert lost is LOST and heard is HEARD
-    assert slot == {3: reference_sample_link(p, (0.012, 0.0, 0.01), random.Random(5), GEN_TIME)[1]}
+    _, delay = reference_sample_link(p, (0.012, 0.0, 0.01), random.Random(5), GEN_TIME)
+    assert slots == ({3: delay},)

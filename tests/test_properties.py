@@ -3,7 +3,9 @@
 The growth coefficients (a, b, h) and the disturbance's delta_e span the
 full finite float range, so these tests reach the overflow edge that the
 shipped scenarios never come near. Runs stay small: at most 60 terminals
-and 5 cycles in direct mode, at most 12 terminals in sampled mode. The
+and 5 cycles in direct mode, at most 12 terminals in sampled mode. One
+reference property runs sampled mode for 11-20 cycles with moderate
+curves, long enough for the trailing-second loss window to slide. The
 last test feeds whole scenario documents, each a shipped one with one
 value replaced, through the command line.
 """
@@ -94,6 +96,33 @@ def configs(draw, mode=None, wild=False):
     )
 
 
+@st.composite
+def long_sampled_configs(draw):
+    """Sampled table2_step runs of 11-20 cycles, so the trailing second fills
+    and slides, with moderate curves: packets are often lost but rarely all,
+    and scores stay small enough that a delay's last bits reach the records."""
+    n = draw(st.integers(2, 12))
+    dsrc = draw(st.integers(0, n))
+    lte = draw(st.integers(0, n - dsrc))
+    moderate = st.floats(0.0, 0.3)
+    profiles = {net: dataclasses.replace(
+                    base, a=draw(moderate), p0=draw(st.floats(0.0, 0.4)), b=draw(moderate),
+                    h=draw(moderate), cap=draw(st.integers(8, 60)))
+                for net, base in STEP.profiles.items()}
+    return dataclasses.replace(
+        STEP,
+        total_terminals=n,
+        initial_assignment={NetworkKind.DSRC: dsrc, NetworkKind.LTE: lte,
+                            NetworkKind.WIFI: n - dsrc - lte},
+        num_cycles=draw(st.integers(11, 20)),
+        profiles=profiles,
+        seed=draw(st.integers(0, 2**64 - 1)),
+        strategy=dataclasses.replace(STEP.strategy, n_exp=draw(st.integers(1, 12))),
+        strategy_kind=draw(st.sampled_from(StrategyKind)),
+        noise_amplitude=draw(st.integers(0, 3)),
+    )
+
+
 def _floats(record):
     for field in dataclasses.fields(record):
         value = getattr(record, field.name)
@@ -152,6 +181,13 @@ def test_accepted_config_matches_reference(cfg):
     # Record equality compares every float exactly, where the CSV shows 6 decimals.
     if validate_config(cfg):
         return
+    assert run_scenario(cfg) == reference_run(cfg)
+
+
+@CHECKS
+@given(long_sampled_configs())
+def test_long_sampled_run_matches_reference(cfg):
+    assert not validate_config(cfg)
     assert run_scenario(cfg) == reference_run(cfg)
 
 

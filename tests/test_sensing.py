@@ -226,16 +226,17 @@ def test_measurements_are_pure():
     assert first == second
 
 
-@pytest.mark.parametrize("seed", range(52))
-def test_ledger_matches_window_reference(seed):
-    # 0..25 cycles, twice over. Each sender is heard with its own probability,
-    # sometimes twice in a cycle, and moves between networks; some cycles are
-    # silent. Receptions go through record_reception or, as the engine writes
-    # them, into the slots begin_cycle returns, stamped by one stamp_heard.
-    rng = random.Random(seed)
+def replay_against_reference(rng, senders, n_cycles):
+    """Drive a ReceptionLedger and a WindowLedger alike and compare every read.
+
+    Each sender is heard with its own probability, sometimes twice in a
+    cycle, and moves between networks; some cycles are silent. Receptions go
+    through record_reception or, as the engine writes them, into the slots
+    begin_cycle returns, stamped by stamp_heard, sometimes between writes.
+    """
     led, ref = ReceptionLedger(), WindowLedger()
-    presence = [rng.uniform(0.1, 0.9) for _ in range(8)]
-    network = [rng.choice(ALL_NETWORKS) for _ in presence]
+    presence = [rng.uniform(0.1, 0.9) for _ in senders]
+    network = [rng.choice(ALL_NETWORKS) for _ in senders]
 
     def same():
         for net in ALL_NETWORKS:
@@ -243,26 +244,50 @@ def test_ledger_matches_window_reference(seed):
             assert led.distinct_senders(net) == ref.distinct_senders(net)
 
     same()
-    for _ in range(seed % 26):
+    for _ in range(n_cycles):
         opened = led.begin_cycle()
         ref.begin_cycle()
         silent = rng.random() < 0.15
-        into_slots = False
-        for sender, p in enumerate(presence):
+        unstamped = False
+        for index, (sender, p) in enumerate(zip(senders, presence)):
             if rng.random() < 0.2:
-                network[sender] = rng.choice(ALL_NETWORKS)
+                network[index] = rng.choice(ALL_NETWORKS)
             if silent or rng.random() >= p:
                 continue
             for _ in range(2 if rng.random() < 0.2 else 1):
-                net, delay = network[sender], rng.uniform(0.0, 0.1)
+                net, delay = network[index], rng.uniform(0.0, 0.1)
                 ref.record_reception(net, sender, delay)
                 if rng.random() < 0.5:
                     led.record_reception(net, sender, delay)
                 else:
                     opened[ALL_NETWORKS.index(net)][sender] = delay
-                    into_slots = True
+                    unstamped = True
+                if unstamped and rng.random() < 0.1:
+                    led.stamp_heard()
+                    unstamped = False
         # Only slot writes need the stamp: a cycle of record_reception alone
         # must stamp its senders itself.
-        if into_slots:
+        if unstamped:
             led.stamp_heard()
         same()
+
+
+@pytest.mark.parametrize("seed", range(52))
+def test_ledger_matches_window_reference(seed):
+    # 0..25 cycles, twice over, with 8 senders.
+    replay_against_reference(random.Random(seed), range(8), seed % 26)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_ledger_matches_window_reference_wide_sender_ids(seed):
+    # Ids spread over 0..299, so the heard-sender masks span several int digits.
+    rng = random.Random(1000 + seed)
+    replay_against_reference(rng, rng.sample(range(300), 40), 14 + seed)
+
+
+def test_negative_sender_rejected():
+    led = ReceptionLedger()
+    led.begin_cycle()
+    with pytest.raises(ValueError, match="-3"):
+        led.record_reception(DSRC, -3, 0.01)
+    assert led.distinct_senders(DSRC) == 0
