@@ -21,7 +21,6 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import Callable
 
 from .domain import (
     ALL_NETWORKS,
@@ -37,8 +36,6 @@ from .engine import predict_equilibrium_shift, run_scenario
 from .evaluation import ground_truth_eval, meets_requirements
 from .netmodel import perf_at
 from .report import (
-    DEFAULT_THRESHOLD,
-    DEFAULT_WINDOW,
     compare,
     format_comparison,
     format_summary,
@@ -55,16 +52,6 @@ ORACLE_TAIL = 30
 
 class _CliError(Exception):
     """A scenario the simulator must refuse; exits 1 with this message."""
-
-
-def int_at_least(minimum: int) -> Callable[[str], int]:
-    """argparse type: an integer >= minimum."""
-    def integer(text: str) -> int:  # argparse says "invalid integer value"
-        value = int(text)
-        if value < minimum:
-            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
-        return value
-    return integer
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -91,12 +78,6 @@ def build_parser() -> argparse.ArgumentParser:
         if writes_runs:
             p.add_argument("-o", "--output", default=None,
                            help="output CSV path (default: scenario stem)")
-            p.add_argument("--convergence-threshold", type=int_at_least(0),
-                           default=DEFAULT_THRESHOLD,
-                           help="handoffs/cycle regarded as quiescent")
-            p.add_argument("--convergence-window", type=int_at_least(1),
-                           default=DEFAULT_WINDOW,
-                           help="quiescent cycles required for convergence")
 
     add_common(sub.add_parser("run", help="run a scenario and write its CSV"))
     add_common(sub.add_parser(
@@ -164,7 +145,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     records = run_scenario(_scenario(args))
     out = _output_path(args)
     write_csv(records, out)
-    summary = summarize(records, args.convergence_threshold, args.convergence_window)
+    summary = summarize(records)
     print(f"wrote {out}")
     print(format_summary(summary))
     return EXIT_OK
@@ -178,8 +159,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         out = _output_path(args, f"_{kind.value}")
         write_csv(records, out)
         print(f"wrote {out}")
-        summaries[kind] = summarize(records, args.convergence_threshold,
-                                    args.convergence_window)
+        summaries[kind] = summarize(records)
     print(format_comparison(compare(summaries[StrategyKind.GAME],
                                     summaries[StrategyKind.BASELINE_MCDM])))
     return EXIT_OK

@@ -4,20 +4,20 @@ Each cycle runs in one pass over the terminals. Each terminal hears every
 other terminal's broadcast on its pre-cycle network (packet-sampled, or
 bypassed in direct mode where measurements come straight from the
 ground-truth curves), then measures and scores all three networks from
-what it received, decides and moves. A move touches only the mover's own
-slot and the broadcasts are a pre-cycle snapshot, so terminals never
-observe each other's same-cycle moves.
+what it received, decides and moves. Each terminal decides from the
+pre-cycle snapshot (broadcasts, populations and curves as they stood
+before anyone moved), and a move touches only the mover's own slot, so
+terminals never observe each other's same-cycle moves.
 
 Randomness is confined to per-terminal substreams derived from the
-scenario seed, so runs are bit-reproducible and the order in which
-decisions are computed is irrelevant.
+scenario seed, so runs are bit-reproducible.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 from .domain import (
     ALL_NETWORKS,
@@ -85,17 +85,12 @@ def init_state(cfg: ScenarioConfig) -> WorldState:
                       rngs=rngs, counts=counts, ledgers=ledgers)
 
 
-def run_cycle(state: WorldState, cfg: ScenarioConfig,
-              decision_order: Sequence[int] | None = None) -> tuple[WorldState, CycleRecord]:
+def run_cycle(state: WorldState, cfg: ScenarioConfig) -> tuple[WorldState, CycleRecord]:
     """Advance the world by one cycle and emit its record."""
     sample = sample_link  # read per call, not at import: the benchmark's tracer replaces it
     t = state.cycle
     rngs, attachment, counters = state.rngs, state.attachment, state.counters
     n_terminals = len(attachment)
-    if decision_order is None:
-        decision_order = range(n_terminals)
-    elif sorted(decision_order) != list(range(n_terminals)):
-        raise ValueError(f"decision_order must be a permutation of range({n_terminals})")
     params = cfg.strategy
     profiles = cfg.profiles
     ledgers = state.ledgers
@@ -133,7 +128,7 @@ def run_cycle(state: WorldState, cfg: ScenarioConfig,
     k = width.bit_length()
     handoffs = 0
     score_sum = 0.0
-    for i in decision_order:
+    for i in range(n_terminals):
         rng = rngs[i]
         current = attachment[i]
         if ledgers is None:
@@ -193,8 +188,7 @@ def run_cycle(state: WorldState, cfg: ScenarioConfig,
     return state, record
 
 
-def run_scenario(cfg: ScenarioConfig,
-                 decision_order: Sequence[int] | None = None) -> list[CycleRecord]:
+def run_scenario(cfg: ScenarioConfig) -> list[CycleRecord]:
     """Run the full scenario; refuses configs with validation violations."""
     violations = validate_config(cfg)
     if violations:
@@ -202,7 +196,7 @@ def run_scenario(cfg: ScenarioConfig,
     state = init_state(cfg)
     records = []
     for _ in range(cfg.num_cycles):
-        state, record = run_cycle(state, cfg, decision_order)
+        state, record = run_cycle(state, cfg)
         records.append(record)
     return records
 

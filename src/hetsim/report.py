@@ -9,7 +9,7 @@ from pathlib import Path
 from .domain import ALL_NETWORKS, NetworkKind
 from .engine import CycleRecord
 
-#: Default convergence rule: at most 1 handoff/cycle sustained for 20 cycles.
+#: The convergence rule `summarize` applies: at most 1 handoff/cycle sustained for 20 cycles.
 DEFAULT_THRESHOLD = 1
 DEFAULT_WINDOW = 20
 
@@ -68,13 +68,12 @@ def detect_convergence(handoffs_series: list[int], threshold: int = DEFAULT_THRE
     return None
 
 
-def summarize(records: list[CycleRecord], threshold: int = DEFAULT_THRESHOLD,
-              window: int = DEFAULT_WINDOW) -> RunSummary:
-    """Collapse a record list into a RunSummary."""
+def summarize(records: list[CycleRecord]) -> RunSummary:
+    """Collapse a record list into a RunSummary under the fixed convergence rule."""
     if not records:
         raise ValueError("cannot summarize an empty run")
     handoffs = [r.handoffs for r in records]
-    converged_at = detect_convergence(handoffs, threshold, window)
+    converged_at = detect_convergence(handoffs)
     region = records[converged_at:] if converged_at is not None else records
     return RunSummary(
         converged_at_cycle=converged_at,

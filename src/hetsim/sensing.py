@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from collections import deque
 from functools import reduce
+from math import inf
 from operator import or_
 
 from .domain import ALL_NETWORKS, CYCLE_S, NetworkKind
@@ -69,8 +70,8 @@ class ReceptionLedger:
 
     def record_reception(self, network: NetworkKind, sender: int, delay: float) -> None:
         """Log one broadcast received this cycle; a repeated sender keeps the latest."""
-        if delay < 0:
-            raise ValueError(f"reception precedes generation (delay {delay})")
+        if not 0 <= delay < inf:  # negative: the reception would precede generation
+            raise ValueError(f"delay must be finite and >= 0, got {delay}")
         if sender < 0:
             raise ValueError(f"sender id must be >= 0, got {sender}")
         self._current[network][sender] = delay

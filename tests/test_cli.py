@@ -129,30 +129,25 @@ def test_unknown_flag_rejected():
 
 
 @pytest.mark.parametrize("flag", ["--convergence-threshold", "--convergence-window"])
-def test_oracle_rejects_convergence_flags(flag):
-    # oracle never detects convergence, so the flags would be ignored.
+@pytest.mark.parametrize("command", ["run", "compare", "oracle"])
+def test_convergence_flags_rejected(tmp_path, monkeypatch, capsys, command, flag):
+    # The convergence rule is fixed: the flags are refused even at their old defaults.
+    monkeypatch.chdir(tmp_path)
     with pytest.raises(SystemExit) as exc:
-        main(["oracle", LINEAR, flag, "5"])
+        main([command, STEP, "--mode", "direct", "--num-cycles", "3", flag, "20"])
     assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("command", ["run", "compare"])
 @pytest.mark.parametrize("window", ["0", "-1"])
 def test_convergence_window_below_one_rejected(tmp_path, command, window):
+    # Once a range error, now an unknown option: either way exit 2 and no output file.
     out = tmp_path / "o.csv"
     with pytest.raises(SystemExit) as exc:
         main([command, STEP, "--mode", "direct", "--num-cycles", "3",
               "-o", str(out), "--convergence-window", window])
-    assert exc.value.code == 2
-    assert list(tmp_path.iterdir()) == []
-
-
-@pytest.mark.parametrize("command", ["run", "compare"])
-def test_negative_convergence_threshold_rejected(tmp_path, command):
-    out = tmp_path / "o.csv"
-    with pytest.raises(SystemExit) as exc:
-        main([command, STEP, "--mode", "direct", "--num-cycles", "3",
-              "-o", str(out), "--convergence-threshold", "-1"])
     assert exc.value.code == 2
     assert list(tmp_path.iterdir()) == []
 

@@ -183,26 +183,6 @@ def test_invalid_config_refused_with_violations():
         run_scenario(cfg)
 
 
-@pytest.mark.parametrize("mode", list(MeasurementMode), ids=lambda m: m.value)
-@pytest.mark.parametrize("kind", list(StrategyKind), ids=lambda k: k.value)
-def test_decision_order_permutation_is_invisible(kind, mode):
-    cfg = step_cfg(num_cycles=25, strategy_kind=kind, measurement_mode=mode)
-    order = list(range(50))
-    random.Random(7).shuffle(order)
-    baseline = render_csv(run_scenario(cfg))
-    assert render_csv(run_scenario(cfg, decision_order=order)) == baseline
-    assert render_csv(run_scenario(cfg, decision_order=list(reversed(range(50))))) \
-        == baseline
-
-
-@pytest.mark.parametrize("order", [list(range(49)), [0] + list(range(49))],
-                         ids=["missing", "repeated"])
-def test_decision_order_must_be_permutation(order):
-    cfg = step_cfg()
-    with pytest.raises(ValueError, match="permutation"):
-        run_cycle(init_state(cfg), cfg, decision_order=order)
-
-
 def test_direct_mode_records_ground_truth():
     cfg = step_cfg(num_cycles=5, measurement_mode=MeasurementMode.DIRECT)
     records = run_scenario(cfg)

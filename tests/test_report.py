@@ -82,17 +82,17 @@ def test_summarize_quiet_run():
 
 
 def test_summarize_never_converged_uses_whole_run():
-    summary = summarize(from_handoffs([10] * 30), threshold=1, window=5)
+    summary = summarize(from_handoffs([10] * 30))
     assert summary.converged_at_cycle is None
     assert summary.pingpong_index == 10.0
     assert summary.total_handoffs == 300
 
 
 def test_summarize_post_convergence_region():
-    series = [40, 20, 0, 0, 0, 0, 0, 2, 0, 0]
-    summary = summarize(from_handoffs(series), threshold=2, window=3)
+    series = [40, 20] + [0] * 5 + [1] + [0] * 14
+    summary = summarize(from_handoffs(series))
     assert summary.converged_at_cycle == 2
-    assert summary.pingpong_index == pytest.approx(2 / 8)
+    assert summary.pingpong_index == pytest.approx(1 / 20)
 
 
 def test_summarize_rejects_empty():
@@ -177,7 +177,7 @@ def test_csv_write_failure_names_destination(tmp_path):
 
 
 def test_compare_example():
-    game = summarize(from_handoffs([1, 1, 0, 1] * 10), threshold=1, window=2)
+    game = summarize(from_handoffs([1, 1, 0, 1] * 10))
     # Force the exact rates from the worked example via handcrafted summaries.
     game = dataclasses.replace(game, pingpong_index=0.8)
     baseline = dataclasses.replace(game, pingpong_index=25.0,
@@ -190,7 +190,7 @@ def test_compare_example():
 
 
 def test_compare_identical_summaries():
-    summary = summarize(from_handoffs([2, 2, 2, 2]), threshold=1, window=2)
+    summary = summarize(from_handoffs([2] * 20))
     assert compare(summary, summary).handoff_rate_ratio == 1.0
 
 

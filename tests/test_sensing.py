@@ -44,11 +44,14 @@ def test_duplicate_sender_keeps_latest():
 
 
 def test_causality_violation_rejected():
-    # A reception before its generation shows up as a negative delay.
+    # A reception before its generation shows up as a negative delay; a
+    # NaN or infinite one would reach the scores through measure().
     led = ReceptionLedger()
     led.begin_cycle()
-    with pytest.raises(ValueError):
-        led.record_reception(DSRC, 1, -0.1)
+    for delay in (-0.1, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match=f"got {delay}"):
+            led.record_reception(DSRC, 1, delay)
+    assert led.distinct_senders(DSRC) == 0
 
 
 def test_distinct_senders_three_cycle_union():
