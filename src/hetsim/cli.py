@@ -63,14 +63,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, writes_runs: bool = True,
-                   picks_strategy: bool = True) -> None:
+    def add_common(p: argparse.ArgumentParser, writes_runs: bool = True) -> None:
         p.add_argument("scenario", help="path to the scenario JSON file")
         p.add_argument("-s", "--seed", type=int, default=None,
                        help="override the scenario seed")
-        if picks_strategy:  # compare always runs both strategies
-            p.add_argument("--strategy", choices=[k.value for k in StrategyKind],
-                           default=None, help="override the strategy kind")
         p.add_argument("--num-cycles", type=int, default=None,
                        help="override the number of cycles")
         p.add_argument("--mode", choices=[m.value for m in MeasurementMode],
@@ -79,10 +75,13 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("-o", "--output", default=None,
                            help="output CSV path (default: scenario stem)")
 
-    add_common(sub.add_parser("run", help="run a scenario and write its CSV"))
+    # Only run picks a strategy: compare runs both, and oracle the scenario's.
+    run = sub.add_parser("run", help="run a scenario and write its CSV")
+    add_common(run)
+    run.add_argument("--strategy", choices=[k.value for k in StrategyKind],
+                     default=None, help="override the strategy kind")
     add_common(sub.add_parser(
-        "compare", help="run a scenario with both strategies, same seed"),
-        picks_strategy=False)
+        "compare", help="run a scenario with both strategies, same seed"))
     add_common(sub.add_parser(
         "oracle", help="analytic vs simulated equilibrium shift"), writes_runs=False)
 

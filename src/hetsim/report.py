@@ -6,16 +6,12 @@ import operator
 from dataclasses import dataclass
 from pathlib import Path
 
-from .domain import ALL_NETWORKS, NetworkKind
+from .domain import ALL_NETWORKS, CYCLE_S, NetworkKind
 from .engine import CycleRecord
 
 #: The convergence rule `summarize` applies: at most 1 handoff/cycle sustained for 20 cycles.
 DEFAULT_THRESHOLD = 1
 DEFAULT_WINDOW = 20
-
-#: The float per-network columns that end each row: (column prefix, CycleRecord field).
-_NETWORK_FLOATS = (("score", "net_score"), ("delay", "net_delay"),
-                   ("plr", "net_plr"), ("jit", "net_jit"))
 
 
 def _network_columns(prefix: str) -> list[str]:
@@ -23,7 +19,8 @@ def _network_columns(prefix: str) -> list[str]:
 
 
 CSV_COLUMNS = ("cycle", "time_s", *_network_columns("count"), "handoffs", "avg_score",
-               *(col for prefix, _ in _NETWORK_FLOATS for col in _network_columns(prefix)))
+               *(col for prefix in ("score", "delay", "plr", "jit")
+                 for col in _network_columns(prefix)))
 
 
 @dataclass(frozen=True)
@@ -91,9 +88,10 @@ _FLOATS = ",".join(["%.6f"] * len(ALL_NETWORKS))
 
 
 def _row(record: CycleRecord) -> str:
-    cells = [str(record.cycle), f"{record.time_s:.6f}", _INTS % _by_network(record.counts),
-             str(record.handoffs), f"{record.avg_score:.6f}"]
-    cells += [_FLOATS % _by_network(getattr(record, field)) for _, field in _NETWORK_FLOATS]
+    cells = [str(record.cycle), f"{record.cycle * CYCLE_S:.6f}",
+             _INTS % _by_network(record.counts), str(record.handoffs),
+             f"{record.avg_score:.6f}", _FLOATS % _by_network(record.net_score)]
+    cells += [_FLOATS % column for column in zip(*_by_network(record.net_perf))]
     return ",".join(cells)
 
 

@@ -131,14 +131,11 @@ def reference_run(cfg: ScenarioConfig) -> list[CycleRecord]:
 
         records.append(CycleRecord(
             cycle=t,
-            time_s=gen_time,
             counts={net: attachment.count(net) for net in ALL_NETWORKS},
             handoffs=handoffs,
             avg_score=score_sum / n,
             net_score={net: evaluate_network(curves[net], cfg.profiles[net], penalty[net]).score
                        for net in ALL_NETWORKS},
-            net_delay={net: curves[net][0] for net in ALL_NETWORKS},
-            net_plr={net: curves[net][1] for net in ALL_NETWORKS},
-            net_jit={net: curves[net][2] for net in ALL_NETWORKS},
+            net_perf=curves,
         ))
     return records

@@ -1,6 +1,5 @@
 import json
 import os
-import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -237,11 +236,14 @@ def test_compare_missing_output_dir_exits_2(tmp_path):
     assert main(["compare", STEP, "--num-cycles", "5", "-o", str(out)]) == 2
 
 
-def test_compare_rejects_strategy_flag(tmp_path):
-    # compare always runs both strategies, so the flag would be ignored.
+@pytest.mark.parametrize("command", ["compare", "oracle"])
+def test_strategy_flag_rejected(tmp_path, monkeypatch, command):
+    # compare always runs both strategies, and oracle runs the scenario's.
+    monkeypatch.chdir(tmp_path)
+    args = ["-o", "cmp.csv"] if command == "compare" else []
     with pytest.raises(SystemExit) as exc:
-        main(["compare", STEP, "--mode", "direct", "--num-cycles", "3",
-              "-o", str(tmp_path / "cmp.csv"), "--strategy", "game"])
+        main([command, LINEAR, "--mode", "direct", "--num-cycles", "31", *args,
+              "--strategy", "game"])
     assert exc.value.code == 2
     assert list(tmp_path.iterdir()) == []
 

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -16,6 +17,7 @@ from hetsim.domain import (
     StrategyKind,
     StrategyParams,
     load_scenario,
+    validate_config,
 )
 from hetsim.engine import (
     init_state,
@@ -24,7 +26,7 @@ from hetsim.engine import (
     run_scenario,
     substream_seed,
 )
-from hetsim.netmodel import NetworkProfile, perf_at
+from hetsim.netmodel import perf_at
 from hetsim.report import render_csv
 from hetsim.sensing import ReceptionLedger
 from hetsim.strategy import Decision, p_degraded, p_overload, p_return, update_counter
@@ -95,14 +97,23 @@ def test_no_terminal_hears_itself(split):
             net: assignment[net] - (attachment[receiver] is net) for net in ALL_NETWORKS}
 
 
-def test_negative_base_delay_refused_in_sampled_cycle():
-    # validate_config refuses d0 <= 0; an unvalidated config must not record
-    # a reception that precedes its generation.
+@pytest.mark.parametrize("field, value, violation", [
+    ("d0", -0.01, "lte: d0 must be > 0, got -0.01"),
+    ("cap", 0, "lte: cap must be >= 1, got 0"),
+    ("a", math.nan, "profiles.lte.a must be finite, got nan"),
+], ids=["d0", "cap", "a"])
+@pytest.mark.parametrize("mode", list(MeasurementMode), ids=lambda m: m.value)
+def test_init_state_refuses_invalid_config(mode, field, value, violation):
+    # No world is built from a config that validation rejects: a negative d0
+    # would put a reception before its generation, cap 0 divides by zero, and
+    # a NaN coefficient runs NaN curves.
     profiles = dict(step_cfg().profiles)
-    profiles[NetworkKind.LTE] = dataclasses.replace(profiles[NetworkKind.LTE], d0=-0.01)
-    cfg = step_cfg(num_cycles=1, profiles=profiles)
-    with pytest.raises(ValueError, match="precedes generation"):
-        run_cycle(init_state(cfg), cfg)
+    profiles[NetworkKind.LTE] = dataclasses.replace(profiles[NetworkKind.LTE],
+                                                    **{field: value})
+    cfg = step_cfg(num_cycles=1, measurement_mode=mode, profiles=profiles)
+    assert validate_config(cfg) == [violation]
+    with pytest.raises(ValueError, match=f"^invalid scenario: {re.escape(violation)}$"):
+        init_state(cfg)
 
 
 @pytest.mark.parametrize("kind", list(StrategyKind), ids=lambda k: k.value)
@@ -190,10 +201,8 @@ def test_direct_mode_records_ground_truth():
     # Cycle 0 loads are the initial assignment.
     for net, count in ((NetworkKind.DSRC, 10), (NetworkKind.LTE, 20),
                        (NetworkKind.WIFI, 20)):
-        delay, plr, jit = perf_at(cfg.profiles[net], count)
-        assert records[0].net_delay[net] == pytest.approx(delay, abs=1e-15)
-        assert records[0].net_plr[net] == pytest.approx(plr, abs=1e-15)
-        assert records[0].net_jit[net] == pytest.approx(jit, abs=1e-15)
+        assert records[0].net_perf[net] == pytest.approx(perf_at(cfg.profiles[net], count),
+                                                          abs=1e-15)
         assert records[0].net_score[net] == pytest.approx(
             ground_truth_eval(cfg.profiles[net], count), abs=1e-15)
 
@@ -226,7 +235,7 @@ def test_disturbance_lowers_reported_score_by_exactly_delta():
     assert clean[4].net_score[NetworkKind.WIFI] == hit[4].net_score[NetworkKind.WIFI]
     assert clean[3].net_score[NetworkKind.LTE] == hit[3].net_score[NetworkKind.LTE]
     # ground-truth curves untouched
-    assert clean[4].net_delay[NetworkKind.LTE] == hit[4].net_delay[NetworkKind.LTE]
+    assert clean[4].net_perf[NetworkKind.LTE] == hit[4].net_perf[NetworkKind.LTE]
 
 
 def test_disturbance_expiry_restores_scores():
@@ -444,7 +453,6 @@ def test_any_valid_config_runs():
                                     rho=rng.uniform(0, 0.99),
                                     sigma=rng.uniform(0, 1.0)),
         )
-        from hetsim.domain import validate_config
         assert validate_config(cfg) == []
         records = run_scenario(cfg)
         assert len(records) == cfg.num_cycles

@@ -124,9 +124,10 @@ def long_sampled_configs(draw):
 
 
 def _floats(record):
-    for field in dataclasses.fields(record):
-        value = getattr(record, field.name)
-        yield from value.values() if isinstance(value, dict) else [value]
+    yield record.avg_score
+    yield from record.net_score.values()
+    for perf in record.net_perf.values():
+        yield from perf
 
 
 # Each metric over its reference is finite, but avg_score sums 50 of them.
@@ -151,6 +152,18 @@ def test_validate_config_never_raises(cfg):
     violations = validate_config(cfg)
     assert all(isinstance(v, str) for v in violations)
     assert validate_config(cfg) == violations
+
+
+@CHECKS
+@given(configs(wild=True))
+def test_init_state_refuses_what_validation_rejects(cfg):
+    violations = validate_config(cfg)
+    if not violations:
+        init_state(cfg)
+        return
+    with pytest.raises(ValueError) as exc:
+        init_state(cfg)
+    assert str(exc.value) == "invalid scenario: " + "; ".join(violations)
 
 
 @CHECKS
@@ -199,8 +212,8 @@ def test_cycle_zero_truth_agrees_between_modes(cfg):
     direct = dataclasses.replace(cfg, measurement_mode=MeasurementMode.DIRECT)
     _, sampled_record = run_cycle(init_state(cfg), cfg)
     _, direct_record = run_cycle(init_state(direct), direct)
-    for field in ("net_score", "net_delay", "net_plr", "net_jit"):
-        assert getattr(sampled_record, field) == getattr(direct_record, field)
+    assert sampled_record.net_score == direct_record.net_score
+    assert sampled_record.net_perf == direct_record.net_perf
 
 
 DOCUMENTS = {name: json.loads((SCENARIOS / f"{name}.json").read_text(encoding="utf-8"))

@@ -24,11 +24,9 @@ def csv_sha256(records):
 
 def record(cycle, handoffs, counts=(30, 10, 10), avg_score=0.5):
     count_map = dict(zip(ALL_NETWORKS, counts))
-    zero = {net: 0.0 for net in ALL_NETWORKS}
-    return CycleRecord(cycle=cycle, time_s=cycle * 0.1, counts=count_map,
-                       handoffs=handoffs, avg_score=avg_score,
-                       net_score=dict(zero), net_delay=dict(zero),
-                       net_plr=dict(zero), net_jit=dict(zero))
+    return CycleRecord(cycle=cycle, counts=count_map, handoffs=handoffs,
+                       avg_score=avg_score, net_score={net: 0.0 for net in ALL_NETWORKS},
+                       net_perf={net: (0.0, 0.0, 0.0) for net in ALL_NETWORKS})
 
 
 def from_handoffs(series):
@@ -167,7 +165,7 @@ def test_csv_round_trip_six_decimals(tmp_path):
         assert int(row["handoffs"]) == rec.handoffs
         assert float(row["avg_score"]) == pytest.approx(rec.avg_score, abs=5e-7)
         assert float(row["delay_wifi"]) == pytest.approx(
-            rec.net_delay[NetworkKind.WIFI], abs=5e-7)
+            rec.net_perf[NetworkKind.WIFI][0], abs=5e-7)
 
 
 def test_csv_write_failure_names_destination(tmp_path):
