@@ -63,34 +63,30 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, writes_runs: bool = True) -> None:
+    def command(name: str, func, summary: str, runs: bool = False) -> argparse.ArgumentParser:
+        """A subcommand of `func` on a scenario file; one that `runs` it takes
+        the seed, mode and output overrides."""
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(func=func)
         p.add_argument("scenario", help="path to the scenario JSON file")
-        p.add_argument("-s", "--seed", type=int, default=None,
-                       help="override the scenario seed")
-        p.add_argument("--num-cycles", type=int, default=None,
-                       help="override the number of cycles")
-        p.add_argument("--mode", choices=[m.value for m in MeasurementMode],
-                       default=None, help="override the measurement mode")
-        if writes_runs:
-            p.add_argument("-o", "--output", default=None,
-                           help="output CSV path (default: scenario stem)")
+        if runs:
+            p.add_argument("-s", "--seed", type=int, help="override the scenario seed")
+            p.add_argument("--mode", choices=[m.value for m in MeasurementMode],
+                           help="override the measurement mode")
+            p.add_argument("-o", "--output", help="output CSV path (default: scenario stem)")
+        return p
 
     # Only run picks a strategy: compare runs both, and oracle the scenario's.
-    run = sub.add_parser("run", help="run a scenario and write its CSV")
-    add_common(run)
+    run = command("run", cmd_run, "run a scenario and write its CSV", runs=True)
     run.add_argument("--strategy", choices=[k.value for k in StrategyKind],
-                     default=None, help="override the strategy kind")
-    add_common(sub.add_parser(
-        "compare", help="run a scenario with both strategies, same seed"))
-    add_common(sub.add_parser(
-        "oracle", help="analytic vs simulated equilibrium shift"), writes_runs=False)
-
-    cal = sub.add_parser("calibrate", help="check performance-curve calibration")
-    cal.add_argument("scenario", help="path to the scenario JSON file")
-
-    val = sub.add_parser("validate", help="list scenario config violations")
-    val.add_argument("scenario", help="path to the scenario JSON file")
-
+                     help="override the strategy kind")
+    compare = command("compare", cmd_compare, "run a scenario with both strategies, same seed",
+                      runs=True)
+    oracle = command("oracle", cmd_oracle, "analytic vs simulated equilibrium shift")
+    for p in (run, compare, oracle):
+        p.add_argument("--num-cycles", type=int, help="override the number of cycles")
+    command("calibrate", cmd_calibrate, "check performance-curve calibration")
+    command("validate", cmd_validate, "list scenario config violations")
     return parser
 
 
@@ -107,27 +103,20 @@ def _load(path: str) -> ScenarioConfig:
         raise _CliError(f"{path} cannot be parsed: {exc}") from None
 
 
-def _check_valid(cfg: ScenarioConfig) -> None:
+def _scenario(args: argparse.Namespace) -> ScenarioConfig:
+    """The scenario file with the command's overrides applied, validated; an
+    override the command does not take reads as None."""
+    cfg = _load(args.scenario)
+    strategy, mode = getattr(args, "strategy", None), getattr(args, "mode", None)
+    changes = {"seed": getattr(args, "seed", None),
+               "num_cycles": getattr(args, "num_cycles", None),
+               "strategy_kind": strategy and StrategyKind(strategy),
+               "measurement_mode": mode and MeasurementMode(mode)}
+    cfg = dataclasses.replace(cfg, **{k: v for k, v in changes.items() if v is not None})
     violations = validate_config(cfg)
     if violations:
         listing = "\n".join(f"  - {v}" for v in violations)
         raise _CliError(f"invalid scenario:\n{listing}")
-
-
-def _scenario(args: argparse.Namespace) -> ScenarioConfig:
-    """The scenario file with the command-line overrides applied, validated."""
-    cfg = _load(args.scenario)
-    changes: dict = {}
-    if args.seed is not None:
-        changes["seed"] = args.seed
-    if getattr(args, "strategy", None) is not None:
-        changes["strategy_kind"] = StrategyKind(args.strategy)
-    if args.num_cycles is not None:
-        changes["num_cycles"] = args.num_cycles
-    if args.mode is not None:
-        changes["measurement_mode"] = MeasurementMode(args.mode)
-    cfg = dataclasses.replace(cfg, **changes)
-    _check_valid(cfg)
     return cfg
 
 
@@ -246,9 +235,7 @@ def calibration_report(cfg: ScenarioConfig) -> list[tuple[str, bool, str]]:
 
 
 def cmd_calibrate(args: argparse.Namespace) -> int:
-    cfg = _load(args.scenario)
-    _check_valid(cfg)
-    rows = calibration_report(cfg)
+    rows = calibration_report(_scenario(args))
     for name, passed, detail in rows:
         print(f"{'PASS' if passed else 'FAIL'}  {name}: {detail}")
     return EXIT_OK if all(passed for _, passed, _ in rows) else EXIT_CONFIG
@@ -265,20 +252,11 @@ def cmd_validate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-_COMMANDS = {
-    "run": cmd_run,
-    "compare": cmd_compare,
-    "oracle": cmd_oracle,
-    "calibrate": cmd_calibrate,
-    "validate": cmd_validate,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        code = _COMMANDS[args.command](args)
+        code = args.func(args)
         sys.stdout.flush()
         return code
     except _CliError as exc:

@@ -238,8 +238,8 @@ def validate_config(cfg: ScenarioConfig) -> list[str]:
 # JSON schema
 #
 # The scenario document mirrors the dataclasses with snake_case keys, so the
-# dataclass fields and their type hints are the whole schema. Unknown keys
-# are rejected at every level so that typos fail loudly.
+# dataclass fields and their type hints are the whole schema. The loader checks
+# shape only (types, keys, enums; unknown keys fail loudly at every level).
 # ---------------------------------------------------------------------------
 
 def _from_json(tp: Any, value: Any, path: str) -> Any:
@@ -282,9 +282,8 @@ def _from_json(tp: Any, value: Any, path: str) -> Any:
         return value
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioFormatError(f"{path}: expected a number, got {_shown(value)}")
-    if not -FLOAT_MAX <= value <= FLOAT_MAX:  # NaN, ±inf or an int beyond the float range
-        raise ScenarioFormatError(f"{path}: expected a finite number, got {_shown(value)}")
-    return float(value)
+    # NaN, ±inf or an int beyond the float range passes as is: validate_config names it.
+    return float(value) if -FLOAT_MAX <= value <= FLOAT_MAX else value
 
 
 def _to_json(value: Any) -> Any:
@@ -330,7 +329,7 @@ def scenario_to_dict(cfg: ScenarioConfig) -> dict[str, Any]:
 
 
 def load_scenario(path: str | Path) -> ScenarioConfig:
-    """Load and parse a scenario JSON file (does not validate semantics)."""
+    """Load and parse a scenario JSON file; `validate_config` judges its values."""
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     return scenario_from_dict(data)

@@ -11,7 +11,8 @@ terminals never observe each other's same-cycle moves.
 
 A world exists only for a valid config: `init_state` refuses one with
 `validate_config` violations. Randomness is confined to per-terminal
-substreams derived from the scenario seed, so runs are bit-reproducible.
+substreams derived from the scenario seed, so runs are bit-reproducible
+across CPython 3.10-3.13.
 """
 
 from __future__ import annotations

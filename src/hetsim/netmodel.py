@@ -7,8 +7,11 @@ coefficient is positive. This coupling is what makes naive greedy network
 selection unstable: every mass handoff degrades its own target.
 
 Per-link outcomes (delivered or lost, and with what delay) are sampled
-from the same curves, so packet-level runs and curve-level runs agree in
-expectation.
+from the same curves, but not every sampled measurement agrees with them
+in expectation. The mean delay does, except where the d0 floor binds. The
+jitter, a sender's |U1 - U2| for two draws from U(-j, j), is 2j/3 of the
+curve's j without the floor and less with it, and the loss estimate reads
+~1.07-1.09x the curve's plr (table2_step at its starting loads).
 """
 
 from __future__ import annotations

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import operator
+from math import fsum
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -76,7 +77,7 @@ def summarize(records: list[CycleRecord]) -> RunSummary:
         converged_at_cycle=converged_at,
         pingpong_index=sum(r.handoffs for r in region) / len(region),
         total_handoffs=sum(handoffs),
-        mean_avg_score=sum(r.avg_score for r in records) / len(records),
+        mean_avg_score=fsum(r.avg_score for r in records) / len(records),
         mean_counts={net: sum(r.counts[net] for r in region) / len(region)
                      for net in ALL_NETWORKS},
     )

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from collections import deque
 from functools import reduce
-from math import inf
+from math import fsum, inf
 from operator import or_
 
 from .domain import ALL_NETWORKS, CYCLE_S, NetworkKind
@@ -69,13 +69,14 @@ class ReceptionLedger:
             self._masks[net][-1] = sum(map(_bit, slot))
 
     def record_reception(self, network: NetworkKind, sender: int, delay: float) -> None:
-        """Log one broadcast received this cycle; a repeated sender keeps the latest."""
+        """Log one broadcast received this cycle (a repeated sender keeps the
+        latest) and stamp the masks, as the engine does after its slot writes."""
         if not 0 <= delay < inf:  # negative: the reception would precede generation
             raise ValueError(f"delay must be finite and >= 0, got {delay}")
         if sender < 0:
             raise ValueError(f"sender id must be >= 0, got {sender}")
         self._current[network][sender] = delay
-        self._masks[network][-1] |= _bit(sender)
+        self.stamp_heard()
 
     def distinct_senders(self, network: NetworkKind) -> int:
         """Unique senders heard on the network within the 3-cycle window."""
@@ -84,12 +85,13 @@ class ReceptionLedger:
 
     def measure(self, network: NetworkKind) -> tuple[float, float, float] | None:
         """(delay, plr, jitter) as the module describes them, or None unless
-        some sender was heard in both the current and the previous cycle."""
+        some sender was heard in both the current and the previous cycle. The
+        sums are fsum's, correctly rounded: the same float on every CPython."""
         current, previous = self._current[network], self._previous[network]
         deltas = [abs(delay - previous[s]) for s, delay in current.items() if s in previous]
         if not deltas:
             return None
         n_now = len(current)
         heard = reduce(or_, self._masks[network]).bit_count()
-        return (sum(current.values()) / n_now, (heard - n_now) / n_now,
-                sum(deltas) / len(deltas))
+        return (fsum(current.values()) / n_now, (heard - n_now) / n_now,
+                fsum(deltas) / len(deltas))

@@ -30,6 +30,7 @@ class Trigger(Enum):
     OVERLOAD = "overload"
     DEGRADATION = "degradation"
     RETURN_TO_DSRC = "return_to_dsrc"
+    ARGMAX = "argmax"
 
 
 class Decision(NamedTuple):
@@ -37,12 +38,12 @@ class Decision(NamedTuple):
 
     target: NetworkKind | None
     new_counter_c: int
-    trigger: Trigger = Trigger.NONE
+    trigger: Trigger
 
 
 # Bound once: a member read costs ~10x a global read on CPython 3.11.
-NONE, OVERLOAD, DEGRADATION, RETURN_TO_DSRC = (
-    Trigger.NONE, Trigger.OVERLOAD, Trigger.DEGRADATION, Trigger.RETURN_TO_DSRC)
+NONE, OVERLOAD, DEGRADATION, RETURN_TO_DSRC, ARGMAX = (
+    Trigger.NONE, Trigger.OVERLOAD, Trigger.DEGRADATION, Trigger.RETURN_TO_DSRC, Trigger.ARGMAX)
 # Decision(...) runs NamedTuple's Python-level __new__; the stay-put result,
 # which most decisions return, is built directly.
 _new = tuple.__new__
@@ -131,8 +132,8 @@ def decide_game(current: NetworkKind, x_dsrc: int, x_current: int,
 
 def decide_baseline(current: NetworkKind, evals: dict[NetworkKind, NetEvaluation],
                     counter_c: int) -> Decision:
-    """Single-play score chaser: jump to the argmax network, no randomness."""
+    """Single-play score chaser: jump to the argmax network (ARGMAX), no randomness."""
     best = select_best(evals, current)
     if best is current:
         return _new(Decision, (None, counter_c, NONE))
-    return Decision(best, counter_c)
+    return Decision(best, counter_c, ARGMAX)

@@ -8,7 +8,7 @@ idioms:
   delivered packet, `rng.uniform(-jitter, jitter)` around the mean delay,
   floored at d0 by `max`;
 * `WindowLedger`, one {sender: delay} slot per cycle over the trailing
-  second;
+  second, its means summed with `math.fsum` as the ledger specifies;
 * the noise as `rng.randint(-a, a)`, the perceived count clipped at 0;
 * counts recomputed from the attachment every cycle.
 
@@ -19,6 +19,7 @@ and `decide_baseline`, which have oracles of their own.
 import random
 from collections import deque
 from itertools import islice
+from math import fsum
 
 from hetsim.domain import (
     ALL_NETWORKS,
@@ -64,8 +65,8 @@ class WindowLedger:
             return None
         n_now = len(current)
         heard = len(set().union(*self.slots[network]))
-        return (sum(current.values()) / n_now, (heard - n_now) / n_now,
-                sum(deltas) / len(deltas))
+        return (fsum(current.values()) / n_now, (heard - n_now) / n_now,
+                fsum(deltas) / len(deltas))
 
 
 def reference_run(cfg: ScenarioConfig) -> list[CycleRecord]:

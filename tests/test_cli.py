@@ -121,6 +121,26 @@ def test_unsimulatable_scenario_refused(tmp_path, capsys, mutate, violation):
     assert not out.exists()
 
 
+def test_every_non_finite_value_named(tmp_path, monkeypatch, capsys):
+    # The loader reads shape only, so a file's NaN, infinity and over-range int
+    # are each named by validation, as in a config built in code.
+    def corrupt(d):
+        d["strategy"].update(rho=float("nan"), sigma=10**400)
+        d["profiles"]["lte"]["a"] = float("inf")
+    path = mutated_scenario(tmp_path, "bad.json", corrupt)
+    expected = ["strategy.rho must be finite, got nan", "strategy.sigma must be finite, got inf",
+                "profiles.lte.a must be finite, got inf"]
+    assert main(["validate", path]) == 1
+    assert capsys.readouterr().out.splitlines() == [f"violation: {v}" for v in expected]
+    monkeypatch.chdir(tmp_path)
+    for command in ("run", "compare", "oracle", "calibrate"):
+        assert main([command, path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "invalid scenario:\n" + "".join(f"  - {v}\n" for v in expected)
+    assert [p.name for p in tmp_path.iterdir()] == ["bad.json"]
+
+
 def test_unknown_flag_rejected():
     with pytest.raises(SystemExit) as exc:
         main(["run", STEP, "--bogus"])
@@ -132,8 +152,9 @@ def test_unknown_flag_rejected():
 def test_convergence_flags_rejected(tmp_path, monkeypatch, capsys, command, flag):
     # The convergence rule is fixed: the flags are refused even at their old defaults.
     monkeypatch.chdir(tmp_path)
+    mode = [] if command == "oracle" else ["--mode", "direct"]  # oracle takes no --mode
     with pytest.raises(SystemExit) as exc:
-        main([command, STEP, "--mode", "direct", "--num-cycles", "3", flag, "20"])
+        main([command, STEP, *mode, "--num-cycles", "3", flag, "20"])
     assert exc.value.code == 2
     assert capsys.readouterr().out == ""
     assert list(tmp_path.iterdir()) == []
@@ -236,15 +257,21 @@ def test_compare_missing_output_dir_exits_2(tmp_path):
     assert main(["compare", STEP, "--num-cycles", "5", "-o", str(out)]) == 2
 
 
-@pytest.mark.parametrize("command", ["compare", "oracle"])
-def test_strategy_flag_rejected(tmp_path, monkeypatch, command):
-    # compare always runs both strategies, and oracle runs the scenario's.
+@pytest.mark.parametrize("args", [
+    ["compare", "--mode", "direct", "-o", "cmp.csv", "--strategy", "game"],
+    ["oracle", "--strategy", "game"],
+    ["oracle", "-s", "3"],
+    ["oracle", "--mode", "direct"],
+], ids=["compare", "oracle", "oracle-seed", "oracle-mode"])
+def test_strategy_flag_rejected(tmp_path, monkeypatch, capsys, args):
+    # compare always runs both strategies. oracle runs the scenario file as it
+    # stands but for its length: its analytic shift is defined on the curves.
     monkeypatch.chdir(tmp_path)
-    args = ["-o", "cmp.csv"] if command == "compare" else []
+    command, *flags = args
     with pytest.raises(SystemExit) as exc:
-        main([command, LINEAR, "--mode", "direct", "--num-cycles", "31", *args,
-              "--strategy", "game"])
+        main([command, LINEAR, "--num-cycles", "31", *flags])
     assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
     assert list(tmp_path.iterdir()) == []
 
 

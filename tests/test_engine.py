@@ -29,7 +29,7 @@ from hetsim.engine import (
 from hetsim.netmodel import perf_at
 from hetsim.report import render_csv
 from hetsim.sensing import ReceptionLedger
-from hetsim.strategy import Decision, p_degraded, p_overload, p_return, update_counter
+from hetsim.strategy import Decision, Trigger, p_degraded, p_overload, p_return, update_counter
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -400,7 +400,7 @@ def test_noise_draw_matches_randint_draw_for_draw(monkeypatch, amplitude, n_dsrc
 
     def stay(current, x_dsrc, x_current, evals, counter_c, params, rng):
         seen.append(x_dsrc)
-        return Decision(None, counter_c)
+        return Decision(None, counter_c, Trigger.NONE)
 
     monkeypatch.setattr(engine, "decide_game", stay)
     rest = 50 - n_dsrc

@@ -252,7 +252,7 @@ DSRC, LTE, WIFI = ALL_NETWORKS
     # quiet stay: no gate opens, no draw
     (lambda: decide_game(*view(x_dsrc=25, c=4), PARAMS, StubRng()), (None, 2, Trigger.NONE)),
     (lambda: decide_baseline(LTE, evals(d=0.5, l=0.7, w=0.6), 7), (None, 7, Trigger.NONE)),
-    (lambda: decide_baseline(DSRC, evals(d=0.5, l=0.7, w=0.6), 7), (LTE, 7, Trigger.NONE)),
+    (lambda: decide_baseline(DSRC, evals(d=0.5, l=0.7, w=0.6), 7), (LTE, 7, Trigger.ARGMAX)),
 ], ids=["overload", "return", "degradation", "lost_overload", "lost_return",
         "lost_degradation", "quiet", "baseline_stay", "baseline_switch"])
 def test_every_decision_path_returns_a_decision(decide, expected):
