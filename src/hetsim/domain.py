@@ -117,21 +117,26 @@ class ScenarioConfig:
 
 
 def _shown(value: Any) -> str:
-    """repr(value), except that an int with more digits than str() may print
-    (sys.get_int_max_str_digits) shows as its sign and number of digits."""
-    try:
-        return repr(value)
-    except ValueError:
-        if not isinstance(value, int):  # a container holding such an int
-            return f"<{type(value).__name__} too long to print>"
+    """repr(value), except that an int beyond the float range shows as its sign and
+    number of digits, and a container too long to print as its type name."""
+    if isinstance(value, int) and abs(value) > FLOAT_MAX:
         n = abs(value)
         digits = int(math.log10(n)) + 1
         digits += (n >= 10**digits) - (n < 10 ** (digits - 1))  # log10 rounds near 10**k
         return f"{'-' if value < 0 else ''}<{digits}-digit integer>"
+    try:
+        return repr(value)
+    except ValueError:  # a container holding an int with more digits than str() may print
+        return f"<{type(value).__name__} too long to print>"
 
 
 class ScenarioFormatError(ValueError):
     """Raised when a scenario document is structurally malformed."""
+
+
+def _violation(path: str, rule: str, value: Any) -> str:
+    """A broken rule, named by the field's dotted path in the scenario document."""
+    return f"{path} must {rule}, got {_shown(value)}"
 
 
 def validate_config(cfg: ScenarioConfig) -> list[str]:
@@ -143,95 +148,62 @@ def validate_config(cfg: ScenarioConfig) -> list[str]:
     Violations are data, not failures: the function never raises for a
     well-typed config, and identical inputs yield identical lists.
     """
-    v = [f"{path} must be finite, got {_shown(val)}" for path, val in _non_finite(cfg, "")]
-    if v:
-        return v
-    s = cfg.strategy
-
-    if cfg.total_terminals < 1:
-        v.append(f"total_terminals must be >= 1, got {_shown(cfg.total_terminals)}")
-    assigned = sum(cfg.initial_assignment.get(net, 0) for net in ALL_NETWORKS)
-    if assigned != cfg.total_terminals:
-        v.append(f"assignment sum {_shown(assigned)} != total_terminals "
-                 f"{_shown(cfg.total_terminals)}")
+    non_finite = [_violation(path, "be finite", val) for path, val in _non_finite(cfg, "")]
+    if non_finite:
+        return non_finite
+    n, cycles, noise, s, d = (cfg.total_terminals, cfg.num_cycles, cfg.noise_amplitude,
+                              cfg.strategy, cfg.disturbance)
+    counts = {net: cfg.initial_assignment.get(net, 0) for net in ALL_NETWORKS}
+    assigned = sum(counts.values())
+    # (dotted path, whether its value keeps the rule, the rule, the value)
+    rules = [
+        ("total_terminals", n >= 1, "be >= 1", n),
+        ("initial_assignment", assigned == n, f"sum to total_terminals {_shown(n)}", assigned),
+        *((f"initial_assignment.{net.value}", c >= 0, "be >= 0", c) for net, c in counts.items()),
+        ("num_cycles", 1 <= cycles <= FLOAT_MAX, f"be in [1, {FLOAT_MAX}]", cycles),
+        ("noise_amplitude", noise >= 0, "be >= 0", noise),
+        ("noise_amplitude", noise <= 0 or n + noise <= FLOAT_MAX,
+         f"be <= {FLOAT_MAX} - total_terminals", noise),
+        ("seed", 0 <= cfg.seed <= MAX_SEED, "be a 64-bit unsigned integer", cfg.seed),
+        ("strategy.n_exp", 1 <= s.n_exp <= FLOAT_MAX, f"be in [1, {FLOAT_MAX}]", s.n_exp),
+        ("strategy.rho", 0 <= s.rho < 1, "be in [0, 1)", s.rho),
+        ("strategy.sigma", 0 <= s.sigma <= 1, "be in [0, 1]", s.sigma),
+    ]
+    unrunnable = []
     for net in ALL_NETWORKS:
-        if cfg.initial_assignment.get(net, 0) < 0:
-            v.append(f"initial assignment for {net.value} is negative")
-    if cfg.num_cycles < 1:
-        v.append(f"num_cycles must be >= 1, got {_shown(cfg.num_cycles)}")
-    elif cfg.num_cycles > FLOAT_MAX:
-        v.append(f"num_cycles must be <= {FLOAT_MAX}")
-    if cfg.noise_amplitude < 0:
-        v.append(f"noise_amplitude must be >= 0, got {_shown(cfg.noise_amplitude)}")
-    elif cfg.noise_amplitude and cfg.total_terminals + cfg.noise_amplitude > FLOAT_MAX:
-        v.append(f"noise_amplitude must be <= {FLOAT_MAX} - total_terminals")
-    if not 0 <= cfg.seed <= MAX_SEED:
-        v.append(f"seed must be a 64-bit unsigned integer, got {_shown(cfg.seed)}")
-
-    if s.n_exp < 1:
-        v.append(f"strategy.n_exp must be >= 1, got {_shown(s.n_exp)}")
-    elif s.n_exp > FLOAT_MAX:
-        v.append(f"strategy.n_exp must be <= {FLOAT_MAX}")
-    if s.rho < 0:
-        v.append(f"rho must be >= 0, got {_shown(s.rho)}")
-    if s.rho >= 1:
-        v.append("rho must be < 1")
-    if not 0 <= s.sigma <= 1:
-        v.append(f"sigma must be in [0, 1], got {_shown(s.sigma)}")
-
-    for net in ALL_NETWORKS:
-        if net not in cfg.profiles:
-            v.append(f"profile for {net.value} is missing")
+        at, p = f"profiles.{net.value}", cfg.profiles.get(net)
+        if p is None:
+            unrunnable.append(f"{at} is missing")
             continue
-        p = cfg.profiles[net]
-        tag = net.value
-        if p.d0 <= 0:
-            v.append(f"{tag}: d0 must be > 0, got {_shown(p.d0)}")
-        if p.g0 <= 0:
-            v.append(f"{tag}: g0 must be > 0, got {_shown(p.g0)}")
-        if not 0 <= p.p0 < 1:
-            v.append(f"{tag}: p0 must be in [0, 1), got {_shown(p.p0)}")
-        for name, val in (("a", p.a), ("b", p.b), ("h", p.h)):
-            if val < 0:
-                v.append(f"{tag}: {name} must be >= 0, got {_shown(val)}")
-        if p.cap < 1:
-            v.append(f"{tag}: cap must be >= 1, got {_shown(p.cap)}")
-        if p.exponent < 1:
-            v.append(f"{tag}: exponent must be >= 1, got {_shown(p.exponent)}")
+        rules += [(f"{at}.{name}", ok, rule, getattr(p, name)) for name, ok, rule in (
+            ("d0", p.d0 > 0, "be > 0"), ("g0", p.g0 > 0, "be > 0"),
+            ("p0", 0 <= p.p0 < 1, "be in [0, 1)"), ("a", p.a >= 0, "be >= 0"),
+            ("b", p.b >= 0, "be >= 0"), ("h", p.h >= 0, "be >= 0"),
+            ("cap", p.cap >= 1, "be >= 1"), ("exponent", p.exponent >= 1, "be >= 1"))]
         # Curves never fall with load: at N terminals a measured delay or jitter is
         # at most top = delay + jitter, the loss estimate below N, and |score| at most
         # B = 1 + max(metric / ref) + penalty. Runs sum up to max(N, num_cycles) of each.
-        if p.cap >= 1 and cfg.total_terminals >= 1 and cfg.num_cycles <= FLOAT_MAX:
-            terms = max(cfg.total_terminals, cfg.num_cycles)
+        if p.cap >= 1 and n >= 1 and cycles <= FLOAT_MAX:
+            terms = max(n, cycles)
             try:
-                delay, _, jit = perf_at(p, cfg.total_terminals)
+                delay, _, jit = perf_at(p, n)
                 top = delay + jit
-                bound = 1 + max(top / F_DELAY_REF, cfg.total_terminals / F_PLR_REF,
-                                top / F_JIT_REF)
+                bound = 1 + max(top / F_DELAY_REF, n / F_PLR_REF, top / F_JIT_REF)
                 finite = math.isfinite(max(bound, top) * terms)
             except OverflowError:
                 finite = False
-            d = cfg.disturbance
             if not finite:
-                v.append(f"{tag}: load curve overflows at "
-                         f"{_shown(cfg.total_terminals)} terminals")
+                unrunnable.append(f"{at}: load curve overflows at {_shown(n)} terminals")
             elif d and d.network is net and not math.isfinite((bound + d.delta_e) * terms):
-                v.append(f"{tag}: disturbance delta_e {_shown(d.delta_e)} "
-                         "overflows the run's score sums")
-
-    if cfg.disturbance is not None:
-        d = cfg.disturbance
-        if d.delta_e <= 0:
-            v.append(f"disturbance delta_e must be > 0, got {_shown(d.delta_e)}")
-        if d.start_cycle < 0:
-            v.append(f"disturbance start_cycle must be >= 0, got {_shown(d.start_cycle)}")
-        elif d.start_cycle >= cfg.num_cycles:
-            v.append(f"disturbance start_cycle {_shown(d.start_cycle)} is past the run "
-                     f"({_shown(cfg.num_cycles)} cycles)")
-        if d.duration_cycles is not None and d.duration_cycles < 1:
-            v.append(f"disturbance duration_cycles must be >= 1 or null, "
-                     f"got {_shown(d.duration_cycles)}")
-    return v
+                unrunnable.append(f"disturbance.delta_e {_shown(d.delta_e)} overflows "
+                                  f"the run's score sums on {net.value}")
+    if d is not None:
+        rules += [("disturbance.delta_e", d.delta_e > 0, "be > 0", d.delta_e),
+                  ("disturbance.start_cycle", 0 <= d.start_cycle < cycles,
+                   f"be in [0, {_shown(cycles)})", d.start_cycle),
+                  ("disturbance.duration_cycles", d.duration_cycles is None
+                   or d.duration_cycles >= 1, "be >= 1 or null", d.duration_cycles)]
+    return [_violation(path, rule, val) for path, ok, rule, val in rules if not ok] + unrunnable
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +211,7 @@ def validate_config(cfg: ScenarioConfig) -> list[str]:
 #
 # The scenario document mirrors the dataclasses with snake_case keys, so the
 # dataclass fields and their type hints are the whole schema. The loader checks
-# shape only (types, keys, enums; unknown keys fail loudly at every level).
+# shape only (types, keys, enums; unknown or repeated keys fail loudly at every level).
 # ---------------------------------------------------------------------------
 
 def _from_json(tp: Any, value: Any, path: str) -> Any:
@@ -328,10 +300,20 @@ def scenario_to_dict(cfg: ScenarioConfig) -> dict[str, Any]:
     return _to_json(cfg)
 
 
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    """A JSON object whose keys are distinct; json.load would keep a repeated key's last value."""
+    obj: dict[str, Any] = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ScenarioFormatError(f"duplicate key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def load_scenario(path: str | Path) -> ScenarioConfig:
     """Load and parse a scenario JSON file; `validate_config` judges its values."""
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+        data = json.load(fh, object_pairs_hook=_unique_keys)
     return scenario_from_dict(data)
 
 

@@ -56,7 +56,7 @@ def test_run_invalid_config_lists_violation(tmp_path, capsys):
                             lambda d: d["strategy"].update(rho=1.0))
     code = main(["run", path, "-o", str(tmp_path / "x.csv")])
     assert code == 1
-    assert "rho must be < 1" in capsys.readouterr().err
+    assert "strategy.rho must be in [0, 1), got 1.0" in capsys.readouterr().err
 
 
 def test_run_malformed_json_exits_1(tmp_path, capsys):
@@ -99,13 +99,14 @@ def test_run_strategy_override_changes_csv(tmp_path):
 
 @pytest.mark.parametrize("mutate, violation", [
     (lambda d: d["profiles"]["wifi"].update(a=1e308),
-     "wifi: load curve overflows at 50 terminals"),
+     "profiles.wifi: load curve overflows at 50 terminals"),
     (lambda d: d["profiles"]["dsrc"].update(cap=1, exponent=200),
-     "dsrc: load curve overflows at 50 terminals"),
+     "profiles.dsrc: load curve overflows at 50 terminals"),
     # Integers beyond the float range would raise OverflowError mid-run.
     (lambda d: d["strategy"].update(n_exp=10**400),
-     f"strategy.n_exp must be <= {sys.float_info.max}"),
-    (lambda d: d.update(num_cycles=10**400), f"num_cycles must be <= {sys.float_info.max}"),
+     f"strategy.n_exp must be in [1, {sys.float_info.max}], got <401-digit integer>"),
+    (lambda d: d.update(num_cycles=10**400),
+     f"num_cycles must be in [1, {sys.float_info.max}], got <401-digit integer>"),
     (lambda d: d.update(noise_amplitude=10**400),
      f"noise_amplitude must be <= {sys.float_info.max} - total_terminals"),
 ])
@@ -119,6 +120,22 @@ def test_unsimulatable_scenario_refused(tmp_path, capsys, mutate, violation):
     err = capsys.readouterr().err
     assert violation in err and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("key, first", [("seed", 7), ("rho", 0.25)])
+def test_duplicate_key_refused(tmp_path, monkeypatch, capsys, key, first):
+    # json.load alone keeps a repeated key's last value, so the file would run
+    # with a value its reader may not see. "rho" repeats inside "strategy".
+    text = Path(STEP).read_text().replace(f'"{key}":', f'"{key}": {first}, "{key}":', 1)
+    path = tmp_path / "duplicate.json"
+    path.write_text(text)
+    monkeypatch.chdir(tmp_path)
+    for command in ("validate", "run"):
+        assert main([command, str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"{path}: duplicate key '{key}'\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["duplicate.json"]
 
 
 def test_every_non_finite_value_named(tmp_path, monkeypatch, capsys):
@@ -324,7 +341,7 @@ def test_oracle_reports_violations_before_missing_disturbance(tmp_path, capsys):
     path = mutated_scenario(tmp_path, "bad_rho.json",
                             lambda d: d["strategy"].update(rho=1.0))
     assert main(["oracle", path]) == 1
-    assert "rho must be < 1" in capsys.readouterr().err
+    assert "strategy.rho must be in [0, 1), got 1.0" in capsys.readouterr().err
 
 
 def test_oracle_disturbance_at_cycle_zero_reads_initial_assignment(tmp_path, capsys):
@@ -374,8 +391,8 @@ def test_validate_reports_each_violation(tmp_path, capsys):
     path = mutated_scenario(tmp_path, "bad.json", corrupt)
     assert main(["validate", path]) == 1
     printed = capsys.readouterr().out
-    assert "rho must be < 1" in printed
-    assert "assignment sum 55 != total_terminals 50" in printed
+    assert "strategy.rho must be in [0, 1), got 1.0" in printed
+    assert "initial_assignment must sum to total_terminals 50, got 55" in printed
 
 
 def wifi_loss_only(b, scale=1):

@@ -13,7 +13,6 @@ from hetsim.domain import (
     DisturbanceSpec,
     MeasurementMode,
     NetworkKind,
-    ScenarioConfig,
     ScenarioFormatError,
     StrategyKind,
     StrategyParams,
@@ -65,38 +64,9 @@ def test_table2_step_config_is_valid():
     assert cfg.strategy.rho == 0.5 and cfg.strategy.sigma == 0.5
 
 
-def test_assignment_sum_mismatch_reported():
-    cfg = table2_step()
-    assignment = dict(cfg.initial_assignment)
-    assignment[NetworkKind.WIFI] = 25
-    bad = ScenarioConfig(**{**cfg.__dict__, "initial_assignment": assignment})
-    violations = validate_config(bad)
-    assert violations == ["assignment sum 55 != total_terminals 50"]
-
-
-def test_rho_at_one_reported():
-    cfg = table2_step()
-    bad = ScenarioConfig(**{**cfg.__dict__,
-                            "strategy": StrategyParams(n_exp=30, rho=1.0, sigma=0.5)})
-    assert "rho must be < 1" in validate_config(bad)
-
-
 def test_validate_is_pure():
     cfg = table2_step()
     assert validate_config(cfg) == validate_config(cfg)
-
-
-def test_noise_and_disturbance_validation():
-    cfg = table2_step()
-    bad = ScenarioConfig(**{**cfg.__dict__,
-                            "noise_amplitude": -1,
-                            "disturbance": DisturbanceSpec(
-                                network=NetworkKind.WIFI, delta_e=0.0,
-                                start_cycle=500)})
-    violations = validate_config(bad)
-    assert any("noise_amplitude" in v for v in violations)
-    assert any("delta_e" in v for v in violations)
-    assert any("start_cycle" in v for v in violations)
 
 
 @pytest.mark.parametrize("network, changes", [
@@ -108,7 +78,7 @@ def test_overflowing_load_curve_rejected(network, changes):
     profile = dataclasses.replace(cfg.profiles[NetworkKind(network)], **changes)
     cfg = dataclasses.replace(cfg, num_cycles=2, measurement_mode=MeasurementMode.DIRECT,
                               profiles={**cfg.profiles, NetworkKind(network): profile})
-    assert validate_config(cfg) == [f"{network}: load curve overflows at 50 terminals"]
+    assert validate_config(cfg) == [f"profiles.{network}: load curve overflows at 50 terminals"]
     with pytest.raises(ValueError, match="load curve overflows"):
         run_scenario(cfg)
 
@@ -120,7 +90,7 @@ def test_overflowing_score_sum_rejected():
     wifi = dataclasses.replace(cfg.profiles[NetworkKind.WIFI], a=1e307)
     cfg = dataclasses.replace(cfg, num_cycles=3, measurement_mode=MeasurementMode.DIRECT,
                               profiles={**cfg.profiles, NetworkKind.WIFI: wifi})
-    assert validate_config(cfg) == ["wifi: load curve overflows at 50 terminals"]
+    assert validate_config(cfg) == ["profiles.wifi: load curve overflows at 50 terminals"]
     with pytest.raises(ValueError, match="load curve overflows"):
         run_scenario(cfg)
 
@@ -131,8 +101,8 @@ def test_overflowing_disturbance_penalty_rejected():
     cfg = dataclasses.replace(cfg, disturbance=dataclasses.replace(cfg.disturbance,
                                                                    delta_e=1.7e308))
     assert validate_config(cfg) == [
-        "wifi: disturbance delta_e 1.7e+308 overflows the run's score sums"]
-    with pytest.raises(ValueError, match="disturbance delta_e"):
+        "disturbance.delta_e 1.7e+308 overflows the run's score sums on wifi"]
+    with pytest.raises(ValueError, match=r"disturbance\.delta_e"):
         run_scenario(cfg)
 
 
@@ -145,7 +115,7 @@ def test_overflowing_measured_delay_rejected():
                               initial_assignment={NetworkKind.DSRC: 2, NetworkKind.LTE: 0,
                                                   NetworkKind.WIFI: 0},
                               profiles={**cfg.profiles, NetworkKind.DSRC: dsrc})
-    assert validate_config(cfg) == ["dsrc: load curve overflows at 2 terminals"]
+    assert validate_config(cfg) == ["profiles.dsrc: load curve overflows at 2 terminals"]
     with pytest.raises(ValueError, match="load curve overflows"):
         run_scenario(cfg)
 
@@ -196,8 +166,8 @@ def test_non_finite_value_named_before_other_faults():
                               strategy=StrategyParams(n_exp=30, rho=math.nan, sigma=2.0))
     assert validate_config(cfg) == ["strategy.rho must be finite, got nan"]
     fixed = dataclasses.replace(cfg, strategy=StrategyParams(n_exp=30, rho=0.5, sigma=2.0))
-    assert validate_config(fixed) == ["num_cycles must be >= 1, got 0",
-                                      "sigma must be in [0, 1], got 2.0"]
+    assert validate_config(fixed) == ["num_cycles must be in [1, 1.7976931348623157e+308], got 0",
+                                      "strategy.sigma must be in [0, 1], got 2.0"]
 
 
 def without_wifi_profile(cfg):
@@ -215,28 +185,53 @@ def wifi_disturbance(**fields):
         net: 0 for net in ALL_NETWORKS}), "total_terminals must be >= 1, got 0"),
     (lambda c: replace_at(c, "initial_assignment", {
         NetworkKind.DSRC: -1, NetworkKind.LTE: 21, NetworkKind.WIFI: 30}),
-     "initial assignment for dsrc is negative"),
+     "initial_assignment.dsrc must be >= 0, got -1"),
     (lambda c: replace_at(c, "noise_amplitude", -1), "noise_amplitude must be >= 0, got -1"),
     (lambda c: replace_at(c, "seed", -1),
      "seed must be a 64-bit unsigned integer, got -1"),
-    (lambda c: replace_at(c, "strategy.n_exp", 0), "strategy.n_exp must be >= 1, got 0"),
-    (lambda c: replace_at(c, "strategy.rho", -0.1), "rho must be >= 0, got -0.1"),
-    # str() refuses an int over 4300 digits; its sign and digit count are printed.
+    (lambda c: replace_at(c, "strategy.n_exp", 0),
+     "strategy.n_exp must be in [1, 1.7976931348623157e+308], got 0"),
+    (lambda c: replace_at(c, "strategy.rho", -0.1), "strategy.rho must be in [0, 1), got -0.1"),
+    # An int beyond the float range prints as its sign and digit count, which
+    # also spares str() an int over its 4300-digit limit.
     (lambda c: replace_at(c, "seed", 10**5000 - 1),
      "seed must be a 64-bit unsigned integer, got <5000-digit integer>"),
     (lambda c: replace_at(c, "strategy.n_exp", -10**5000),
-     "strategy.n_exp must be >= 1, got -<5001-digit integer>"),
-    (without_wifi_profile, "profile for wifi is missing"),
-    (lambda c: replace_at(c, "profiles.dsrc.g0", 0.0), "dsrc: g0 must be > 0, got 0.0"),
-    (lambda c: replace_at(c, "profiles.lte.h", -0.1), "lte: h must be >= 0, got -0.1"),
+     "strategy.n_exp must be in [1, 1.7976931348623157e+308], got -<5001-digit integer>"),
+    (without_wifi_profile, "profiles.wifi is missing"),
+    (lambda c: replace_at(c, "profiles.dsrc.g0", 0.0), "profiles.dsrc.g0 must be > 0, got 0.0"),
+    (lambda c: replace_at(c, "profiles.lte.h", -0.1), "profiles.lte.h must be >= 0, got -0.1"),
     (lambda c: replace_at(c, "profiles.wifi.exponent", 0.5),
-     "wifi: exponent must be >= 1, got 0.5"),
-    (wifi_disturbance(start_cycle=-1), "disturbance start_cycle must be >= 0, got -1"),
+     "profiles.wifi.exponent must be >= 1, got 0.5"),
+    (wifi_disturbance(start_cycle=-1), "disturbance.start_cycle must be in [0, 150), got -1"),
     (wifi_disturbance(start_cycle=5, duration_cycles=0),
-     "disturbance duration_cycles must be >= 1 or null, got 0"),
+     "disturbance.duration_cycles must be >= 1 or null, got 0"),
 ])
 def test_each_violation_named_alone(mutate, violation):
     assert validate_config(mutate(table2_step())) == [violation]
+
+
+@pytest.mark.parametrize("mutate, violations", [
+    pytest.param(lambda c: replace_at(c, "initial_assignment.wifi", 25),
+                 ["initial_assignment must sum to total_terminals 50, got 55"],
+                 id="assignment_sum_mismatch_reported"),
+    pytest.param(lambda c: replace_at(c, "strategy.rho", 1.0),
+                 ["strategy.rho must be in [0, 1), got 1.0"], id="rho_at_one_reported"),
+    pytest.param(lambda c: dataclasses.replace(c, noise_amplitude=-1, disturbance=DisturbanceSpec(
+                     network=NetworkKind.WIFI, delta_e=0.0, start_cycle=500)),
+                 ["noise_amplitude must be >= 0, got -1",
+                  "disturbance.delta_e must be > 0, got 0.0",
+                  "disturbance.start_cycle must be in [0, 150), got 500"],
+                 id="noise_and_disturbance_validation"),
+    pytest.param(lambda c: replace_at(replace_at(replace_at(
+                     c, "profiles.dsrc.d0", 0.0), "profiles.lte.p0", 1.5), "profiles.wifi.cap", 0),
+                 ["profiles.dsrc.d0 must be > 0, got 0.0",
+                  "profiles.lte.p0 must be in [0, 1), got 1.5",
+                  "profiles.wifi.cap must be >= 1, got 0"],
+                 id="profile_invariants_checked"),
+])
+def test_violations_listed_exactly(mutate, violations):
+    assert validate_config(mutate(table2_step())) == violations
 
 
 @pytest.mark.parametrize("sign", [1, -1])
@@ -259,19 +254,6 @@ def test_readme_scenario_example_loads():
     assert block is not None
     cfg = scenario_from_dict(json.loads(block.group(1)))
     assert validate_config(cfg) == []
-
-
-def test_profile_invariants_checked():
-    cfg = table2_step()
-    doc = scenario_to_dict(cfg)
-    doc["profiles"]["dsrc"]["d0"] = 0.0
-    doc["profiles"]["lte"]["p0"] = 1.5
-    doc["profiles"]["wifi"]["cap"] = 0
-    bad = scenario_from_dict(doc)
-    violations = validate_config(bad)
-    assert any("dsrc: d0" in v for v in violations)
-    assert any("lte: p0" in v for v in violations)
-    assert any("wifi: cap" in v for v in violations)
 
 
 def test_json_round_trip():

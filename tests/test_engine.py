@@ -98,8 +98,8 @@ def test_no_terminal_hears_itself(split):
 
 
 @pytest.mark.parametrize("field, value, violation", [
-    ("d0", -0.01, "lte: d0 must be > 0, got -0.01"),
-    ("cap", 0, "lte: cap must be >= 1, got 0"),
+    ("d0", -0.01, "profiles.lte.d0 must be > 0, got -0.01"),
+    ("cap", 0, "profiles.lte.cap must be >= 1, got 0"),
     ("a", math.nan, "profiles.lte.a must be finite, got nan"),
 ], ids=["d0", "cap", "a"])
 @pytest.mark.parametrize("mode", list(MeasurementMode), ids=lambda m: m.value)
@@ -190,7 +190,7 @@ def test_zero_cycles_rejected():
 
 def test_invalid_config_refused_with_violations():
     cfg = step_cfg(strategy=StrategyParams(n_exp=30, rho=1.0, sigma=0.5))
-    with pytest.raises(ValueError, match="rho must be < 1"):
+    with pytest.raises(ValueError, match=re.escape("strategy.rho must be in [0, 1), got 1.0")):
         run_scenario(cfg)
 
 
@@ -506,3 +506,77 @@ def test_sampled_measurements_agree_with_curves(seed):
         residual = sum(h - e for h, e, _ in senders[net]) / n
         stderr = sum(v for _, _, v in senders[net]) ** 0.5 / n
         assert abs(residual) <= 4 * stderr, net
+
+
+def abs_difference_mean(delay, jitter, floor):
+    """E|X1 - X2| for independent X = max(delay + U(-jitter, jitter), floor).
+
+    It is 2 * integral of F(1 - F) dx. Above the floor's atom, of mass a, the
+    CDF F rises linearly to 1 over 2 jitter, so the integral is
+    2 jitter * integral of u(1 - u) du from a to 1.
+    """
+    a = min(max(floor - (delay - jitter), 0.0) / (2 * jitter), 1.0)
+    return 4 * jitter * (1 / 6 - a * a / 2 + a ** 3 / 3)
+
+
+def loss_estimate_mean(m, plr):
+    """E[(heard - k) / k] over m other senders, given that `measure` reads.
+
+    Each sender is heard this cycle (k of them) with probability 1 - plr. Each
+    of the m - k others is in the trailing second's sender count (10 cycles of
+    0.1 s) if heard in one of its 9 earlier cycles: probability 1 - plr ** 9.
+    `measure` reads only if one of the k was also heard last cycle:
+    probability 1 - plr ** k.
+    """
+    weight = {k: math.comb(m, k) * (1 - plr) ** k * plr ** (m - k) * (1 - plr ** k)
+              for k in range(1, m + 1)}
+    return (sum(w * (m - k) * (1 - plr ** 9) / k for k, w in weight.items())
+            / sum(weight.values()))
+
+
+@pytest.mark.parametrize("p0, num_cycles", [(None, 25), (0.8, 60)], ids=["table2_step", "lossy"])
+def test_sampled_jitter_and_loss_match_exact_expectations(p0, num_cycles):
+    # rho = sigma = 0 keeps every load fixed, so from cycle 10 on, each reading
+    # of `measure` draws from one distribution per (network, own network). The
+    # lossy case raises every p0 to 0.8, where a sender misses all 9 earlier
+    # cycles of the window often enough (0.8 ** 9 = 0.13) to weigh.
+    frozen = dataclasses.replace(step_cfg().strategy, rho=0.0, sigma=0.0)
+    profiles = step_cfg().profiles
+    if p0 is not None:
+        profiles = {net: dataclasses.replace(p, p0=p0) for net, p in profiles.items()}
+    # One residual per (seed, receiver, network, metric): the sum, over the cycles
+    # where `measure` reads, of reading minus expectation. Each term has mean 0,
+    # and receivers draw from their own streams, so the sums are independent.
+    residuals = {(net, metric): [] for net in ALL_NETWORKS for metric in ("jitter", "loss")}
+    for seed in range(6):
+        cfg = step_cfg(seed=seed, num_cycles=num_cycles, strategy=frozen, profiles=profiles)
+        state = init_state(cfg)
+        counts = dict(state.counts)
+        expected = {}
+        for net in ALL_NETWORKS:
+            delay, plr, jitter = perf_at(profiles[net], counts[net])
+            for own in (False, True):
+                expected[net, own] = (abs_difference_mean(delay, jitter, profiles[net].d0),
+                                      loss_estimate_mean(counts[net] - own, plr))
+        sums = [{net: [0.0, 0.0] for net in ALL_NETWORKS} for _ in state.ledgers]
+        for t in range(num_cycles):
+            state, record = run_cycle(state, cfg)
+            assert record.counts == counts
+            if t < 10:
+                continue
+            for i, ledger in enumerate(state.ledgers):
+                for net in ALL_NETWORKS:
+                    metrics = ledger.measure(net)
+                    if metrics is not None:
+                        want_jitter, want_loss = expected[net, state.attachment[i] is net]
+                        sums[i][net][0] += metrics[2] - want_jitter
+                        sums[i][net][1] += metrics[1] - want_loss
+        for receiver in sums:
+            for net, (jitter_sum, loss_sum) in receiver.items():
+                residuals[net, "jitter"].append(jitter_sum)
+                residuals[net, "loss"].append(loss_sum)
+    for key, sample in residuals.items():
+        n = len(sample)
+        mean = sum(sample) / n
+        var = sum((x - mean) ** 2 for x in sample) / (n - 1)
+        assert abs(mean) <= 4 * (var / n) ** 0.5, key

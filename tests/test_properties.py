@@ -14,6 +14,7 @@ import dataclasses
 import io
 import json
 import math
+import re
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -290,3 +291,16 @@ def test_any_scenario_document_exits_cleanly(text):
                 code = main(argv)
             assert code in (0, 1, 2), (argv[0], code)
             assert "Traceback" not in err.getvalue()
+
+
+#: The dotted path of every field of a scenario document (the shipped ones set them all).
+FIELD_PATHS = {".".join(path) for doc in DOCUMENTS.values() for path in _paths(doc) if path}
+
+
+@CHECKS
+@given(configs(wild=True))
+def test_every_violation_opens_with_its_field_path(cfg):
+    # A violation names its field as the loader's shape errors do.
+    for violation in validate_config(cfg):
+        path = re.match(r"[\w.]+", violation).group()
+        assert path in FIELD_PATHS and violation[len(path)] in " :", violation
