@@ -175,6 +175,14 @@ def without_wifi_profile(cfg):
         net: p for net, p in cfg.profiles.items() if net is not NetworkKind.WIFI})
 
 
+def zero_n_exp(cfg):
+    return replace_at(cfg, "strategy.n_exp", 0)
+
+
+def huge_negative_n_exp(cfg):
+    return replace_at(cfg, "strategy.n_exp", -10**5000)
+
+
 def wifi_disturbance(**fields):
     return lambda cfg: dataclasses.replace(cfg, disturbance=DisturbanceSpec(
         network=NetworkKind.WIFI, delta_e=0.1, **fields))
@@ -189,14 +197,13 @@ def wifi_disturbance(**fields):
     (lambda c: replace_at(c, "noise_amplitude", -1), "noise_amplitude must be >= 0, got -1"),
     (lambda c: replace_at(c, "seed", -1),
      "seed must be a 64-bit unsigned integer, got -1"),
-    (lambda c: replace_at(c, "strategy.n_exp", 0),
-     "strategy.n_exp must be in [1, 1.7976931348623157e+308], got 0"),
+    (zero_n_exp, "strategy.n_exp must be in [1, 1.7976931348623157e+308], got 0"),
     (lambda c: replace_at(c, "strategy.rho", -0.1), "strategy.rho must be in [0, 1), got -0.1"),
     # An int beyond the float range prints as its sign and digit count, which
     # also spares str() an int over its 4300-digit limit.
     (lambda c: replace_at(c, "seed", 10**5000 - 1),
      "seed must be a 64-bit unsigned integer, got <5000-digit integer>"),
-    (lambda c: replace_at(c, "strategy.n_exp", -10**5000),
+    (huge_negative_n_exp,
      "strategy.n_exp must be in [1, 1.7976931348623157e+308], got -<5001-digit integer>"),
     (without_wifi_profile, "profiles.wifi is missing"),
     (lambda c: replace_at(c, "profiles.dsrc.g0", 0.0), "profiles.dsrc.g0 must be > 0, got 0.0"),
