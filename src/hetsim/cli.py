@@ -90,9 +90,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load(path: str) -> ScenarioConfig:
+def _scenario(args: argparse.Namespace) -> ScenarioConfig:
+    """The scenario file with the command's overrides applied, validated; an
+    override the command does not take reads as None. Every command reads its
+    scenario here."""
+    path = args.scenario
     try:
-        return load_scenario(path)
+        cfg = load_scenario(path)
     except UnicodeDecodeError as exc:
         raise _CliError(f"{path} is not UTF-8 text: {exc}") from None
     except json.JSONDecodeError as exc:
@@ -101,12 +105,6 @@ def _load(path: str) -> ScenarioConfig:
         raise _CliError(f"{path}: {exc}") from None
     except (ValueError, RecursionError) as exc:  # json.load: too many digits; deep nesting
         raise _CliError(f"{path} cannot be parsed: {exc}") from None
-
-
-def _scenario(args: argparse.Namespace) -> ScenarioConfig:
-    """The scenario file with the command's overrides applied, validated; an
-    override the command does not take reads as None."""
-    cfg = _load(args.scenario)
     strategy, mode = getattr(args, "strategy", None), getattr(args, "mode", None)
     changes = {"seed": getattr(args, "seed", None),
                "num_cycles": getattr(args, "num_cycles", None),
@@ -242,12 +240,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    cfg = _load(args.scenario)
-    violations = validate_config(cfg)
-    if violations:
-        for v in violations:
-            print(f"violation: {v}")
-        return EXIT_CONFIG
+    _scenario(args)
     print("ok")
     return EXIT_OK
 

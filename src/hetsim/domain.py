@@ -220,10 +220,16 @@ def _from_json(tp: Any, value: Any, path: str) -> Any:
         if value is None:
             return None
         tp = next(arg for arg in typing.get_args(tp) if arg is not type(None))
-    if dataclasses.is_dataclass(tp):
+    if dataclasses.is_dataclass(tp) or typing.get_origin(tp) is dict:
         where = path or "scenario"
         if not isinstance(value, dict):
             raise ScenarioFormatError(f"{where}: expected an object")
+        if getattr(value, "repeated", None) is not None:
+            raise ScenarioFormatError(f"{where}: duplicate key {value.repeated!r}")
+        if typing.get_origin(tp) is dict:
+            key_tp, item_tp = typing.get_args(tp)
+            return {_from_json(key_tp, key, path): _from_json(item_tp, item, f"{path}.{key}")
+                    for key, item in value.items()}
         fields = dataclasses.fields(tp)
         unknown = set(value) - {f.name for f in fields}
         if unknown:
@@ -236,12 +242,6 @@ def _from_json(tp: Any, value: Any, path: str) -> Any:
         hints = typing.get_type_hints(tp)
         return tp(**{key: _from_json(hints[key], item, f"{path}.{key}" if path else key)
                      for key, item in value.items()})
-    if typing.get_origin(tp) is dict:
-        key_tp, item_tp = typing.get_args(tp)
-        if not isinstance(value, dict):
-            raise ScenarioFormatError(f"{path}: expected an object")
-        return {_from_json(key_tp, key, path): _from_json(item_tp, item, f"{path}.{key}")
-                for key, item in value.items()}
     if issubclass(tp, Enum):
         try:
             return tp(value)
@@ -300,20 +300,24 @@ def scenario_to_dict(cfg: ScenarioConfig) -> dict[str, Any]:
     return _to_json(cfg)
 
 
-def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
-    """A JSON object whose keys are distinct; json.load would keep a repeated key's last value."""
-    obj: dict[str, Any] = {}
-    for key, value in pairs:
-        if key in obj:
-            raise ScenarioFormatError(f"duplicate key {key!r}")
-        obj[key] = value
-    return obj
+class _JsonObject(dict):
+    """json.load's object hook. json.load alone keeps a repeated key's last value;
+    this object names such a key in `repeated`, and `_from_json` refuses it."""
+
+    repeated: str | None = None
+
+    def __init__(self, pairs: list[tuple[str, Any]]) -> None:
+        super().__init__()
+        for key, value in pairs:
+            if key in self:
+                self.repeated = key
+            self[key] = value
 
 
 def load_scenario(path: str | Path) -> ScenarioConfig:
     """Load and parse a scenario JSON file; `validate_config` judges its values."""
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh, object_pairs_hook=_unique_keys)
+        data = json.load(fh, object_pairs_hook=_JsonObject)
     return scenario_from_dict(data)
 
 

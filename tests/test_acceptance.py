@@ -12,7 +12,6 @@ from pathlib import Path
 
 import pytest
 
-from hetsim import ground_truth_eval
 from hetsim.cli import main
 from hetsim.domain import (
     CYCLE_S,
@@ -28,7 +27,7 @@ from hetsim.domain import (
     load_scenario,
 )
 from hetsim.engine import predict_equilibrium_shift, run_scenario
-from hetsim.evaluation import net_eva, normalize
+from hetsim.evaluation import ground_truth_eval, net_eva, normalize
 from hetsim.report import detect_convergence, render_csv
 from hetsim.strategy import p_degraded, p_overload, p_return, update_counter
 

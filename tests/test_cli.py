@@ -112,29 +112,34 @@ def test_run_strategy_override_changes_csv(tmp_path):
 ])
 def test_unsimulatable_scenario_refused(tmp_path, capsys, mutate, violation):
     path = mutated_scenario(tmp_path, "bad.json", mutate)
-    assert main(["validate", path]) == 1
-    printed = capsys.readouterr().out.splitlines()
-    assert len(printed) == 1 and printed[0].startswith(f"violation: {violation}")
     out = tmp_path / "o.csv"
-    assert main(["run", path, "--mode", "direct", "-o", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert violation in err and "Traceback" not in err
+    for argv in (["validate", path], ["run", path, "--mode", "direct", "-o", str(out)]):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        head, listed = captured.err.splitlines()
+        assert head == "invalid scenario:" and listed.startswith(f"  - {violation}")
     assert not out.exists()
 
 
-@pytest.mark.parametrize("key, first", [("seed", 7), ("rho", 0.25)])
-def test_duplicate_key_refused(tmp_path, monkeypatch, capsys, key, first):
+@pytest.mark.parametrize("field, first", [("seed", 7), ("strategy.rho", 0.25),
+                                          ("profiles.lte.a", 0.5), ("initial_assignment.dsrc", 5)],
+                         ids=lambda v: v.rpartition(".")[2] if isinstance(v, str) else None)
+def test_duplicate_key_refused(tmp_path, monkeypatch, capsys, field, first):
     # json.load alone keeps a repeated key's last value, so the file would run
-    # with a value its reader may not see. "rho" repeats inside "strategy".
-    text = Path(STEP).read_text().replace(f'"{key}":', f'"{key}": {first}, "{key}":', 1)
+    # with a value its reader may not see. The error names the object that repeats it.
+    parent, _, key = field.rpartition(".")
+    anchor = f'"{parent.rpartition(".")[2]}": {{' if parent else "{"
+    text = Path(STEP).read_text()
+    assert anchor in text
     path = tmp_path / "duplicate.json"
-    path.write_text(text)
+    path.write_text(text.replace(anchor, f'{anchor}"{key}": {first}, ', 1))
     monkeypatch.chdir(tmp_path)
     for command in ("validate", "run"):
         assert main([command, str(path)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"{path}: duplicate key '{key}'\n"
+        assert captured.err == f"{path}: {parent or 'scenario'}: duplicate key '{key}'\n"
     assert [p.name for p in tmp_path.iterdir()] == ["duplicate.json"]
 
 
@@ -147,10 +152,8 @@ def test_every_non_finite_value_named(tmp_path, monkeypatch, capsys):
     path = mutated_scenario(tmp_path, "bad.json", corrupt)
     expected = ["strategy.rho must be finite, got nan", "strategy.sigma must be finite, got inf",
                 "profiles.lte.a must be finite, got inf"]
-    assert main(["validate", path]) == 1
-    assert capsys.readouterr().out.splitlines() == [f"violation: {v}" for v in expected]
     monkeypatch.chdir(tmp_path)
-    for command in ("run", "compare", "oracle", "calibrate"):
+    for command in ("validate", "run", "compare", "oracle", "calibrate"):
         assert main([command, path]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -390,9 +393,11 @@ def test_validate_reports_each_violation(tmp_path, capsys):
         doc["initial_assignment"]["wifi"] = 25
     path = mutated_scenario(tmp_path, "bad.json", corrupt)
     assert main(["validate", path]) == 1
-    printed = capsys.readouterr().out
-    assert "strategy.rho must be in [0, 1), got 1.0" in printed
-    assert "initial_assignment must sum to total_terminals 50, got 55" in printed
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("invalid scenario:\n"
+                            "  - initial_assignment must sum to total_terminals 50, got 55\n"
+                            "  - strategy.rho must be in [0, 1), got 1.0\n")
 
 
 def wifi_loss_only(b, scale=1):

@@ -7,8 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from hetsim import engine, ground_truth_eval
-from hetsim.evaluation import best_network, evaluate_network, select_best
+from hetsim import engine
+from hetsim.evaluation import best_network, evaluate_network, ground_truth_eval, select_best
 from hetsim.domain import (
     ALL_NETWORKS,
     DisturbanceSpec,

@@ -2,9 +2,8 @@ import random
 
 import pytest
 
-from hetsim import ground_truth_eval
 from hetsim.domain import CYCLE_S
-from hetsim.evaluation import net_eva, normalize
+from hetsim.evaluation import ground_truth_eval, net_eva, normalize
 from hetsim.netmodel import HEARD, LOST, LinkSample, NetworkProfile, perf_at, sample_link
 
 #: A generation time whose round trip moves the last bits of most delays.
