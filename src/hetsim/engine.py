@@ -32,7 +32,7 @@ from .domain import (
     validate_config,
 )
 from .evaluation import evaluate_network
-from .netmodel import perf_at, sample_link
+from .netmodel import LOST, perf_at, sample_link
 from .sensing import ReceptionLedger
 from .strategy import decide_baseline, decide_game
 
@@ -113,8 +113,14 @@ def run_cycle(state: WorldState, cfg: ScenarioConfig) -> tuple[WorldState, Cycle
             for net in ALL_NETWORKS
         }
     else:
-        links = [(sender, ALL_NETWORKS.index(net), profiles[net].d0, *curves[net])
-                 for sender, net in enumerate(attachment)]
+        # One link per sender, and per network the bitmask of its broadcasters.
+        fields = {net: (index, profiles[net].d0, delay, plr, -jitter, jitter + jitter)
+                  for index, (net, (delay, plr, jitter)) in enumerate(curves.items())}
+        links, rosters = [], [0] * len(ALL_NETWORKS)
+        for sender, net in enumerate(attachment):
+            link = (sender, *fields[net])
+            links.append(link)
+            rosters[link[1]] |= 1 << sender
 
     # A terminal hears the pre-cycle links, reads only its own slots, counts_pre,
     # curves and penalty, and moves only itself: all decide from one snapshot.
@@ -139,9 +145,12 @@ def run_cycle(state: WorldState, cfg: ScenarioConfig) -> tuple[WorldState, Cycle
             ledger = ledgers[i]
             slots = ledger.begin_cycle()
             rand = rng.random
+            heard = rosters.copy()  # every other broadcaster, less the lost links
+            heard[links[i][1]] ^= 1 << i
             for link in links[:i] + links[i + 1:]:
-                sample(link, rand, gen_time, slots)
-            ledger.stamp_heard()
+                if sample(link, rand, gen_time, slots) is LOST:
+                    heard[link[1]] ^= 1 << link[0]
+            ledger.stamp_heard(heard)
             evals = {
                 net: evaluate_network(ledger.measure(net), profiles[net], penalty[net])
                 for net in ALL_NETWORKS

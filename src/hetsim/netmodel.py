@@ -62,23 +62,23 @@ def perf_at(profile: NetworkProfile, n: int) -> tuple[float, float, float]:
     return delay, plr, jitter
 
 
-def sample_link(link: tuple[int, int, float, float, float, float],
+def sample_link(link: tuple[int, int, float, float, float, float, float],
                 random: Callable[[], float], gen_time: float,
                 slots: tuple[dict[int, float], ...]) -> LinkSample:
-    """Sample one link from its sender's (sender, slot_index, d0, delay, plr, jitter).
+    """Sample one link: (sender, slot_index, d0, delay, plr, low, width).
 
     Delivery succeeds with probability 1 - plr, drawn by the receiver's
-    `random`; only a delivered packet draws its jitter, a uniform
-    perturbation of half-width jitter around the mean delay, and its delay
-    is never below the base delay d0. A delivered packet sets
-    `slots[slot_index][sender]` to its reception time minus `gen_time`, as a
-    receiver computes it: that round trip shifts the last bits.
+    `random`; only a delivered packet draws its jitter, uniform on
+    [low, low + width) around the mean delay (low = -jitter, width = jitter
+    + jitter), and its delay is never below the base delay d0. A delivered
+    packet sets `slots[slot_index][sender]` to its reception time minus
+    `gen_time`, as a receiver computes it: that round trip shifts the last bits.
     """
-    sender, slot_index, d0, delay, plr, jitter = link
+    sender, slot_index, d0, delay, plr, low, width = link
     if random() < plr:
         return LOST
-    # rng.uniform(-jitter, jitter) and max(observed, d0), written out: the same
-    # draw and the same float, without two Python-level calls per packet.
-    observed = delay + (-jitter + (jitter + jitter) * random())
+    # low + width * random() is rng.uniform(-jitter, jitter), and the floor is
+    # max(observed, d0): the same draw and float without two calls per packet.
+    observed = delay + (low + width * random())
     slots[slot_index][sender] = (gen_time + (d0 if d0 > observed else observed)) - gen_time
     return HEARD

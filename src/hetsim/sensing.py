@@ -32,16 +32,6 @@ from .domain import ALL_NETWORKS, CYCLE_S, NetworkKind
 LOSS_WINDOW_CYCLES = round(1 / CYCLE_S)
 
 
-class _Bits(dict):
-    def __missing__(self, sender: int) -> int:
-        bit = self[sender] = 1 << sender
-        return bit
-
-
-#: 1 << sender, cached: a lookup in C, where a shift builds a new int each time.
-_bit = _Bits().__getitem__
-
-
 class ReceptionLedger:
     """Reception history of one terminal (exclusively owned, not shared):
     two {sender: delay} slots and a ring of heard-sender masks per network."""
@@ -54,29 +44,30 @@ class ReceptionLedger:
 
     def begin_cycle(self) -> tuple[dict[int, float], ...]:
         """Open an empty {sender: delay} slot per network and return them in
-        `ALL_NETWORKS` order. A caller that writes into them calls
-        `stamp_heard` once after its writes; `record_reception` does both."""
+        `ALL_NETWORKS` order. A caller that writes into them then passes
+        their senders' masks to `stamp_heard`; `record_reception` does both."""
         self._previous = self._current
         self._current = {net: {} for net in ALL_NETWORKS}
         for masks in self._masks.values():
             masks.append(0)
         return tuple(self._current.values())
 
-    def stamp_heard(self) -> None:
-        """Set this cycle's masks to the senders in the open slots: the sum of
-        their bits, which is their OR, since a slot's senders are distinct."""
-        for net, slot in self._current.items():
-            self._masks[net][-1] = sum(map(_bit, slot))
+    def stamp_heard(self, heard: list[int]) -> None:
+        """Store this cycle's heard-sender masks, one per network in
+        `ALL_NETWORKS` order: bit s set iff sender s is in that open slot.
+        The engine builds them as the broadcasters less the lost links."""
+        for masks, mask in zip(self._masks.values(), heard):
+            masks[-1] = mask
 
     def record_reception(self, network: NetworkKind, sender: int, delay: float) -> None:
         """Log one broadcast received this cycle (a repeated sender keeps the
-        latest) and stamp the masks, as the engine does after its slot writes."""
+        latest) and set its sender's bit in this cycle's mask."""
         if not 0 <= delay < inf:  # negative: the reception would precede generation
             raise ValueError(f"delay must be finite and >= 0, got {delay}")
         if sender < 0:
             raise ValueError(f"sender id must be >= 0, got {sender}")
         self._current[network][sender] = delay
-        self.stamp_heard()
+        self._masks[network][-1] |= 1 << sender
 
     def distinct_senders(self, network: NetworkKind) -> int:
         """Unique senders heard on the network within the 3-cycle window."""

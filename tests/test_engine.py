@@ -6,6 +6,7 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from reference import WindowLedger
 
 from hetsim import engine
 from hetsim.evaluation import best_network, evaluate_network, ground_truth_eval, select_best
@@ -167,6 +168,53 @@ def test_cycle_calls_match_traced_benchmark_closed_forms(monkeypatch, mode, kind
                  "decide": n}
     assert calls == Counter({name: c * cfg.num_cycles for name, c in per_cycle.items()})
     assert (0 < delivered < calls["sample_link"]) if sampled else delivered == 0
+
+
+def lossy_step_cfg(**overrides):
+    """table2_step with every network's base loss p0 at 0.8, so LOST is common."""
+    profiles = {net: dataclasses.replace(p, p0=0.8) for net, p in step_cfg().profiles.items()}
+    return step_cfg(profiles=profiles, **overrides)
+
+
+@pytest.mark.parametrize("make_cfg, kind", [
+    (step_cfg, StrategyKind.GAME),
+    (step_cfg, StrategyKind.BASELINE_MCDM),
+    (lossy_step_cfg, StrategyKind.GAME),
+], ids=["game", "baseline", "p0_0.8"])
+def test_heard_masks_match_window_reference_fed_the_same_slots(monkeypatch, make_cfg, kind):
+    # The engine stamps each receiver's heard senders as the broadcasters less
+    # its own bit and the lost links, without reading the slots. A
+    # WindowLedger fed the slots the receiver opened must read the same.
+    begin_cycle = ReceptionLedger.begin_cycle
+    opened = {}
+
+    def captured_begin(ledger):
+        slots = opened[ledger] = begin_cycle(ledger)
+        return slots
+
+    monkeypatch.setattr(ReceptionLedger, "begin_cycle", captured_begin)
+    cfg = make_cfg(num_cycles=12, strategy_kind=kind)
+    n = cfg.total_terminals
+    state = init_state(cfg)
+    refs = [WindowLedger() for _ in range(n)]
+    lost = 0
+    for _ in range(cfg.num_cycles):
+        opened.clear()
+        state, _ = run_cycle(state, cfg)
+        assert len(opened) == n
+        for ledger, ref in zip(state.ledgers, refs):
+            ref.begin_cycle()
+            for net, slot in zip(ALL_NETWORKS, opened[ledger]):
+                for sender, delay in slot.items():
+                    ref.record_reception(net, sender, delay)
+            lost += n - 1 - sum(map(len, opened[ledger]))
+            for net in ALL_NETWORKS:
+                assert ledger.distinct_senders(net) == ref.distinct_senders(net)
+                assert ledger.measure(net) == ref.measure(net)
+    links = n * (n - 1) * cfg.num_cycles
+    assert 0 < lost < links
+    if make_cfg is lossy_step_cfg:
+        assert lost > links // 2
 
 
 def test_determinism_byte_identical():

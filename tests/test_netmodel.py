@@ -78,8 +78,10 @@ def test_ground_truth_eval_halfway():
 
 
 def link(p, curve, sender, slot_index=0):
-    """The engine's packed link: (sender, slot_index, d0, delay, plr, jitter)."""
-    return (sender, slot_index, p.d0, *curve)
+    """The engine's packed link: (sender, slot_index, d0, delay, plr, -jitter,
+    jitter + jitter), the last two the bounds of the jitter draw."""
+    delay, plr, jitter = curve
+    return (sender, slot_index, p.d0, delay, plr, -jitter, jitter + jitter)
 
 
 def test_sample_link_certain_loss():

@@ -235,9 +235,14 @@ def replay_against_reference(rng, senders, n_cycles):
     Each sender is heard with its own probability, sometimes twice in a
     cycle, and moves between networks; some cycles are silent. Receptions go
     through record_reception or, as the engine writes them, into the slots
-    begin_cycle returns, stamped by stamp_heard, sometimes between writes.
+    begin_cycle returns, stamped by stamp_heard with the masks of the senders
+    in those slots, sometimes between writes.
     """
     led, ref = ReceptionLedger(), WindowLedger()
+
+    def stamp(opened):
+        led.stamp_heard([sum(1 << sender for sender in slot) for slot in opened])
+
     presence = [rng.uniform(0.1, 0.9) for _ in senders]
     network = [rng.choice(ALL_NETWORKS) for _ in senders]
 
@@ -266,12 +271,12 @@ def replay_against_reference(rng, senders, n_cycles):
                     opened[ALL_NETWORKS.index(net)][sender] = delay
                     unstamped = True
                 if unstamped and rng.random() < 0.1:
-                    led.stamp_heard()
+                    stamp(opened)
                     unstamped = False
         # Only slot writes need the stamp: a cycle of record_reception alone
         # must stamp its senders itself.
         if unstamped:
-            led.stamp_heard()
+            stamp(opened)
         same()
 
 
