@@ -25,7 +25,6 @@ from pathlib import Path
 from .domain import (
     ALL_NETWORKS,
     MeasurementMode,
-    NetworkKind,
     ScenarioConfig,
     ScenarioFormatError,
     StrategyKind,
@@ -36,6 +35,7 @@ from .engine import predict_equilibrium_shift, run_scenario
 from .evaluation import ground_truth_eval, meets_requirements
 from .netmodel import perf_at
 from .report import (
+    RunSummary,
     compare,
     format_comparison,
     format_summary,
@@ -119,43 +119,41 @@ def _scenario(args: argparse.Namespace) -> ScenarioConfig:
 
 
 def _output_path(args: argparse.Namespace, suffix: str = "") -> Path:
-    if args.output is not None:
-        base = Path(args.output)
-        if suffix:
-            return base.with_name(base.stem + suffix + ".csv")
-        return base
-    return Path(Path(args.scenario).stem + suffix + ".csv")
+    """The CSV path: `-o`, else `<scenario stem>.csv`; a suffix goes before `.csv`."""
+    base = Path(Path(args.scenario).stem + ".csv" if args.output is None else args.output)
+    return base.with_name(base.stem + suffix + ".csv") if suffix else base
+
+
+def _run(cfg: ScenarioConfig, out: Path) -> RunSummary:
+    """Run the scenario, write its CSV to `out`, say so, and return its summary."""
+    records = run_scenario(cfg)
+    write_csv(records, out)
+    print(f"wrote {out}")
+    return summarize(records)
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    records = run_scenario(_scenario(args))
-    out = _output_path(args)
-    write_csv(records, out)
-    summary = summarize(records)
-    print(f"wrote {out}")
-    print(format_summary(summary))
+    print(format_summary(_run(_scenario(args), _output_path(args))))
     return EXIT_OK
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
     cfg = _scenario(args)  # validity does not depend on the strategy kind
-    summaries = {}
-    for kind in StrategyKind:
-        records = run_scenario(dataclasses.replace(cfg, strategy_kind=kind))
-        out = _output_path(args, f"_{kind.value}")
-        write_csv(records, out)
-        print(f"wrote {out}")
-        summaries[kind] = summarize(records)
-    print(format_comparison(compare(summaries[StrategyKind.GAME],
-                                    summaries[StrategyKind.BASELINE_MCDM])))
+    game, baseline = (_run(dataclasses.replace(cfg, strategy_kind=kind),
+                           _output_path(args, f"_{kind.value}"))
+                      for kind in (StrategyKind.GAME, StrategyKind.BASELINE_MCDM))
+    print(format_comparison(compare(game, baseline)))
     return EXIT_OK
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
     cfg = _scenario(args)
-    if cfg.disturbance is None:
-        raise _CliError("scenario has no disturbance; nothing to predict")
     dist = cfg.disturbance
+    if dist is None:
+        raise _CliError("scenario has no disturbance; nothing to predict")
+    if cfg.num_cycles < ORACLE_TAIL:
+        raise _CliError(f"the simulated shift averages the last {ORACLE_TAIL} cycles; "
+                        f"got {cfg.num_cycles} cycles")
     start, first, last = dist.start_cycle, cfg.num_cycles - ORACLE_TAIL, cfg.num_cycles - 1
     if not (dist.active_at(first) and dist.active_at(last)):
         until = "" if dist.duration_cycles is None else f" to {start + dist.duration_cycles - 1}"
@@ -164,7 +162,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
                         f"active from start_cycle {start}{until}; got {cfg.num_cycles} cycles")
     records = run_scenario(cfg)
 
-    disturbed = cfg.disturbance.network
+    disturbed = dist.network
     pre_counts = records[start - 1].counts if start else cfg.initial_assignment
     g = pre_counts[disturbed]
     # The switch destination: best-scoring alternative at pre-disturbance loads.
@@ -176,14 +174,14 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     s_predicted = predict_equilibrium_shift(
         lambda n: ground_truth_eval(cfg.profiles[disturbed], n),
         lambda n: ground_truth_eval(cfg.profiles[partner], n),
-        g, h, cfg.disturbance.delta_e)
+        g, h, dist.delta_e)
 
     tail = records[-ORACLE_TAIL:]
     mean_tail = sum(r.counts[disturbed] for r in tail) / len(tail)
     s_simulated = g - mean_tail
 
     print(f"disturbed network:       {disturbed.value} "
-          f"(g={g}, partner {partner.value} h={h}, delta_e={cfg.disturbance.delta_e})")
+          f"(g={g}, partner {partner.value} h={h}, delta_e={dist.delta_e})")
     print(f"predicted shift:         {s_predicted}")
     print(f"simulated steady shift:  {s_simulated:.2f}")
     return EXIT_OK
@@ -192,18 +190,18 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 def calibration_report(cfg: ScenarioConfig) -> list[tuple[str, bool, str]]:
     """Evaluate the curve-calibration conditions; (name, passed, detail) rows."""
     total = cfg.total_terminals
-    dsrc, lte, wifi = (cfg.profiles[n] for n in ALL_NETWORKS)
+    profiles = [cfg.profiles[n] for n in ALL_NETWORKS]  # DSRC, LTE, Wi-Fi
     rows: list[tuple[str, bool, str]] = []
 
     decreasing = all(
         ground_truth_eval(p, n + 1) < ground_truth_eval(p, n)
-        for p in (dsrc, lte, wifi) for n in range(total)
+        for p in profiles for n in range(total)
     )
     rows.append(("decreasing-evaluation", decreasing,
                  "every network's evaluation strictly decreases with load"))
 
-    d1, l1, w1 = (ground_truth_eval(p, 1) for p in (dsrc, lte, wifi))
-    d_total = ground_truth_eval(dsrc, total)
+    d1, l1, w1 = (ground_truth_eval(p, 1) for p in profiles)
+    d_total = ground_truth_eval(profiles[0], total)
     rows.append(("dsrc-best-then-overloaded",
                  d1 > l1 and d1 > w1 and d_total < l1 and d_total < w1,
                  f"dsrc {d1:.3f} tops lte {l1:.3f} / wifi {w1:.3f} at base load "
@@ -212,22 +210,15 @@ def calibration_report(cfg: ScenarioConfig) -> list[tuple[str, bool, str]]:
     rows.append(("lte-worst-at-base-load", l1 < d1 and l1 < w1,
                  f"lte {l1:.3f} below dsrc {d1:.3f} and wifi {w1:.3f} at load 1"))
 
-    overloaded = all(
-        not meets_requirements(*perf_at(p, total))
-        for p in (dsrc, lte, wifi)
-    )
+    overloaded = all(not meets_requirements(*perf_at(p, total)) for p in profiles)
     n_dsrc = min(cfg.strategy.n_exp, total)
     rest = total - n_dsrc
-    split = {NetworkKind.DSRC: n_dsrc, NetworkKind.LTE: rest // 2,
-             NetworkKind.WIFI: rest - rest // 2}
-    shared = all(
-        meets_requirements(*perf_at(cfg.profiles[net], split[net]))
-        for net in ALL_NETWORKS
-    )
+    split = (n_dsrc, rest // 2, rest - rest // 2)
+    shared = all(meets_requirements(*perf_at(p, n)) for p, n in zip(profiles, split))
     rows.append(("no-single-network-carries-all", overloaded,
                  f"each network alone fails requirements at {total} terminals"))
     rows.append(("coordinated-split-carries-all", shared,
-                 "split " + "/".join(str(split[n]) for n in ALL_NETWORKS)
+                 "split " + "/".join(map(str, split))
                  + " meets requirements everywhere"))
     return rows
 

@@ -216,10 +216,5 @@ def predict_equilibrium_shift(f_a: Callable[[int], float],
     """
     if g < 0 or h < 0:
         raise ValueError(f"populations must be >= 0, got g={g}, h={h}")
-    best_s = 0
-    best_residual = float("inf")
-    for s in range(g + 1):
-        residual = abs(f_a(g - s) - f_a(g) + f_b(h) - f_b(h + s) - delta_e)
-        if residual < best_residual:
-            best_s, best_residual = s, residual
-    return best_s
+    return min(range(g + 1),
+               key=lambda s: abs(f_a(g - s) - f_a(g) + f_b(h) - f_b(h + s) - delta_e))

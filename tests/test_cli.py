@@ -272,6 +272,22 @@ def test_compare_seed_override_applies_to_both(tmp_path):
         (tmp_path / "two_baseline_mcdm.csv").read_bytes()
 
 
+@pytest.mark.parametrize("args, written", [
+    (["run"], ["table2_step.csv"]),
+    (["compare"], ["table2_step_game.csv", "table2_step_baseline_mcdm.csv"]),
+    (["run", "-o", "out.txt"], ["out.txt"]),
+    (["compare", "-o", "out.txt"], ["out_game.csv", "out_baseline_mcdm.csv"]),
+], ids=["run", "compare", "run-o", "compare-o"])
+def test_output_names(tmp_path, monkeypatch, capsys, args, written):
+    # The base is -o, else the scenario stem plus .csv; compare puts _<kind> before .csv.
+    monkeypatch.chdir(tmp_path)
+    command, *flags = args
+    assert main([command, STEP, "--mode", "direct", "--num-cycles", "5", *flags]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(written)
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[:len(written)] == [f"wrote {name}" for name in written]
+
+
 def test_compare_missing_output_dir_exits_2(tmp_path):
     out = tmp_path / "ghost" / "cmp.csv"
     assert main(["compare", STEP, "--num-cycles", "5", "-o", str(out)]) == 2
@@ -353,6 +369,11 @@ def test_oracle_disturbance_at_cycle_zero_reads_initial_assignment(tmp_path, cap
     assert main(["oracle", path]) == 0
     # The run ends near wifi=23; g must be the initial wifi population.
     assert "(g=30, partner lte h=15," in capsys.readouterr().out
+    # A run shorter than the tail is refused for its length alone.
+    assert main(["oracle", path, "--num-cycles", "20"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "the simulated shift averages the last 30 cycles; got 20 cycles\n"
 
 
 def test_calibrate_shipped_profiles_pass(capsys):

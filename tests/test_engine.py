@@ -316,6 +316,13 @@ def test_predict_shift_asymmetric_linear():
     assert predict_equilibrium_shift(f_a, f_b, 30, 20, 0.09) == 3
 
 
+@pytest.mark.parametrize("g, h, named", [(-1, 20, "g=-1,"), (30, -1, "h=-1")])
+def test_predict_shift_rejects_negative_population(g, h, named):
+    f = lambda n: 1 - 0.01 * n
+    with pytest.raises(ValueError, match=named):
+        predict_equilibrium_shift(f, f, g, h, 0.08)
+
+
 def test_predict_shift_minimizes_residual():
     rng = random.Random(11)
     for _ in range(50):

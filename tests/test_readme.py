@@ -1,12 +1,17 @@
-"""The README's library example runs, and every name it imports resolves.
+"""The README's library example runs, every name it imports resolves, and
+every command line it shows parses.
 
 A root name the docs still use cannot then be dropped from the package
-without this failing, nor can a module path the README gives go stale.
+without this failing, nor can a module path, a flag or a scenario file the
+README gives go stale.
 """
 
 import importlib
 import re
+import shlex
 from pathlib import Path
+
+from hetsim.cli import build_parser
 
 ROOT = Path(__file__).resolve().parent.parent
 README = (ROOT / "README.md").read_text(encoding="utf-8")
@@ -39,3 +44,14 @@ def test_every_name_the_readme_imports_resolves():
     assert "hetsim.netmodel.perf_at" in qualified
     for dotted in qualified:
         resolve(dotted)
+
+
+def test_command_line_examples_parse():
+    section = README.split("## Command line", 1)[1]
+    block = re.search(r"```\n(.*?)```", section, re.S).group(1)
+    lines = block.splitlines()
+    assert lines and all(line.startswith("hetsim ") for line in lines)
+    parser = build_parser()
+    for line in lines:
+        args = parser.parse_args(shlex.split(line)[1:])  # nothing runs
+        assert (ROOT / args.scenario).is_file(), line

@@ -127,9 +127,15 @@ def test_update_counter():
     assert update_counter(0, met=True) == 0
 
 
-def test_update_counter_rejects_negative():
-    with pytest.raises(ValueError):
-        update_counter(-1, met=True)
+@pytest.mark.parametrize("call, named", [
+    (lambda: update_counter(-1, met=True), "got -1"),
+    (lambda: p_degraded(-1, 30, 0.5), "got -1"),
+    (lambda: p_return(-1, 10, 30, 0.5), "x=-1,"),
+    (lambda: p_return(10, -1, 30, 0.5), "x_prime=-1"),
+], ids=["update_counter", "p_degraded", "p_return-x", "p_return-x_prime"])
+def test_negative_count_rejected(call, named):
+    with pytest.raises(ValueError, match=named):
+        call()
 
 
 # --- game decisions ----------------------------------------------------------
