@@ -2,7 +2,7 @@
 
 Everything in this module is an immutable value object: safe to share,
 hash-friendly where it matters, and free of behavior beyond construction
-checks and (de)serialization of the scenario JSON document.
+checks and loading of the scenario JSON document.
 """
 
 from __future__ import annotations
@@ -258,17 +258,6 @@ def _from_json(tp: Any, value: Any, path: str) -> Any:
     return float(value) if -FLOAT_MAX <= value <= FLOAT_MAX else value
 
 
-def _to_json(value: Any) -> Any:
-    """Inverse of _from_json: dataclasses become objects in field order."""
-    if dataclasses.is_dataclass(value):
-        return {f.name: _to_json(getattr(value, f.name)) for f in dataclasses.fields(value)}
-    if isinstance(value, dict):
-        return {_to_json(key): _to_json(item) for key, item in value.items()}
-    if isinstance(value, Enum):
-        return value.value
-    return value
-
-
 def _non_finite(value: Any, path: str, tp: Any = None) -> Iterator[tuple[str, float]]:
     """(dotted path, value) of every NaN or infinite float in a config, read through
     its dataclasses and dicts; an int beyond the float range in a float field is ±inf."""
@@ -277,8 +266,8 @@ def _non_finite(value: Any, path: str, tp: Any = None) -> Iterator[tuple[str, fl
             yield from _non_finite(getattr(value, f.name),
                                    f"{path}.{f.name}" if path else f.name, f.type)
     elif isinstance(value, dict):
-        for key, item in value.items():
-            yield from _non_finite(item, f"{path}.{_to_json(key)}")
+        for key, item in value.items():  # a library caller may key by the plain string
+            yield from _non_finite(item, f"{path}.{getattr(key, 'value', key)}")
     elif isinstance(value, float) and not math.isfinite(value):
         yield path, value
     elif tp == "float" and isinstance(value, int) and abs(value) > FLOAT_MAX:
@@ -293,11 +282,6 @@ def scenario_from_dict(data: Any) -> ScenarioConfig:
     cfg = _from_json(ScenarioConfig, data, "")
     assignment = {net: cfg.initial_assignment.get(net, 0) for net in ALL_NETWORKS}
     return dataclasses.replace(cfg, initial_assignment=assignment)
-
-
-def scenario_to_dict(cfg: ScenarioConfig) -> dict[str, Any]:
-    """Inverse of scenario_from_dict (round-trips exactly)."""
-    return _to_json(cfg)
 
 
 class _JsonObject(dict):
@@ -319,9 +303,3 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh, object_pairs_hook=_JsonObject)
     return scenario_from_dict(data)
-
-
-def save_scenario(cfg: ScenarioConfig, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(scenario_to_dict(cfg), fh, indent=2)
-        fh.write("\n")

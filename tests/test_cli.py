@@ -288,6 +288,22 @@ def test_output_names(tmp_path, monkeypatch, capsys, args, written):
     assert printed[:len(written)] == [f"wrote {name}" for name in written]
 
 
+@pytest.mark.parametrize("command", ["run", "compare"])
+@pytest.mark.parametrize("output", ["", ".", "/"], ids=["empty", "dot", "root"])
+def test_output_without_file_name_refused(tmp_path, monkeypatch, capsys, command, output):
+    # A -o naming no file is a configuration error, refused before anything runs.
+    def never_run(cfg):
+        raise AssertionError("the scenario ran")
+
+    monkeypatch.setattr("hetsim.cli.run_scenario", never_run)
+    monkeypatch.chdir(tmp_path)
+    assert main([command, STEP, "--mode", "direct", "--num-cycles", "3", "-o", output]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"-o {output!r} names no file"]
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_compare_missing_output_dir_exits_2(tmp_path):
     out = tmp_path / "ghost" / "cmp.csv"
     assert main(["compare", STEP, "--num-cycles", "5", "-o", str(out)]) == 2

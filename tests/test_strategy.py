@@ -207,6 +207,22 @@ def test_non_dsrc_return_valve_needs_healthy_dsrc():
     assert d.target is None
 
 
+def test_overload_gate_opens_one_past_n_exp():
+    # p_overload(31, 30, 0.5) = 0.03125 > 0, so a draw of 0.0 switches.
+    v = view(x_dsrc=PARAMS.n_exp + 1, ev=evals(d=0.9, l=0.4, w=0.6))
+    d = decide_game(*v, PARAMS, StubRng(0.0))
+    assert d.target is NetworkKind.WIFI
+    assert d.trigger is Trigger.OVERLOAD
+
+
+def test_return_gate_closed_at_n_exp():
+    # DSRC at n_exp has no headroom: no return draw (the empty stub would raise).
+    v = view(current=NetworkKind.LTE, x_dsrc=PARAMS.n_exp, x_current=10)
+    d = decide_game(*v, PARAMS, StubRng())
+    assert d.target is None
+    assert d.trigger is Trigger.NONE
+
+
 def test_stay_when_draws_exceed_all_probabilities():
     rng_values = [0.999999] * 2
     v = view(x_dsrc=45, dsrc_meets=False, c=2)
