@@ -48,9 +48,19 @@ def test_network_kind_fixed_ordering():
     assert len(NetworkKind) == 3
 
 
-def test_network_kind_hashes_as_its_value():
-    # The str mixin puts network-keyed dicts on the C string hash.
+@pytest.mark.parametrize("name", ["table2_step", "table2_disturbance", "linear_delta_e"])
+def test_network_kind_hashes_as_its_value_and_saves_as_it(name):
+    # The str mixin puts network-keyed dicts on the C string hash; members must
+    # still dump as their bare values, so a loaded scenario's network-keyed maps
+    # save as the shipped file wrote them.
     assert [hash(net) for net in ALL_NETWORKS] == [hash("dsrc"), hash("lte"), hash("wifi")]
+    cfg, doc = load_scenario(SCENARIOS / f"{name}.json"), shipped_document(name)
+    profiles = json.dumps({net: dataclasses.asdict(p) for net, p in cfg.profiles.items()})
+    assert json.loads(profiles) == doc["profiles"]
+    assert json.loads(json.dumps(cfg.initial_assignment)) == doc["initial_assignment"]
+    assert '"dsrc": {' in profiles and "NetworkKind" not in profiles
+    if cfg.disturbance is not None:
+        assert json.loads(json.dumps(cfg.disturbance.network)) == doc["disturbance"]["network"]
 
 
 def test_string_keyed_config_names_network_by_its_value():
