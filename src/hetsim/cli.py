@@ -120,9 +120,10 @@ def _scenario(args: argparse.Namespace) -> ScenarioConfig:
 
 def _output_path(args: argparse.Namespace, suffix: str = "") -> Path:
     """The CSV path: `-o`, else `<scenario stem>.csv`; a suffix goes before `.csv`."""
-    if args.output is not None and not Path(args.output).name:  # "", "." or "/"
-        raise _CliError(f"-o {args.output!r} names no file")
-    base = Path(Path(args.scenario).stem + ".csv" if args.output is None else args.output)
+    out = args.output
+    if out is not None and (Path(out).name in ("", "..") or Path(out).is_dir()):
+        raise _CliError(f"-o {out!r} names no file")  # "", ".", "/", ".." or a directory
+    base = Path(Path(args.scenario).stem + ".csv" if out is None else out)
     return base.with_name(base.stem + suffix + ".csv") if suffix else base
 
 

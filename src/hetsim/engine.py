@@ -4,10 +4,12 @@ Each cycle runs in one pass over the terminals. Each terminal hears every
 other terminal's broadcast on its pre-cycle network (packet-sampled, or
 bypassed in direct mode where measurements come straight from the
 ground-truth curves), then measures and scores all three networks from
-what it received, decides and moves. Each terminal decides from the
-pre-cycle snapshot (broadcasts, populations and curves as they stood
-before anyone moved), and a move touches only the mover's own slot, so
-terminals never observe each other's same-cycle moves.
+what it received, decides and moves. A network with nothing to measure
+scores from the optimistic base-load prior perf_at(profile, 1), which the
+engine supplies. Each terminal decides from the pre-cycle snapshot
+(broadcasts, populations and curves as they stood before anyone moved),
+and a move touches only the mover's own slot, so terminals never observe
+each other's same-cycle moves.
 
 A world exists only for a valid config: `init_state` refuses one with
 `validate_config` violations. Randomness is confined to per-terminal
@@ -108,11 +110,13 @@ def run_cycle(state: WorldState, cfg: ScenarioConfig) -> tuple[WorldState, Cycle
     if ledgers is None:
         # An empty network has no one to measure, so it scores from the prior.
         shared_evals = {
-            net: evaluate_network(curves[net] if counts_pre[net] else None,
-                                  profiles[net], penalty[net])
+            net: evaluate_network(curves[net] if counts_pre[net] else perf_at(profiles[net], 1),
+                                  penalty[net])
             for net in ALL_NETWORKS
         }
     else:
+        # For a network on which no sender was heard in both of the last two cycles.
+        prior = {net: perf_at(profiles[net], 1) for net in ALL_NETWORKS}
         # One link per sender, and per network the bitmask of its broadcasters.
         fields = {net: (index, profiles[net].d0, delay, plr, -jitter, jitter + jitter)
                   for index, (net, (delay, plr, jitter)) in enumerate(curves.items())}
@@ -152,7 +156,7 @@ def run_cycle(state: WorldState, cfg: ScenarioConfig) -> tuple[WorldState, Cycle
                     heard[link[1]] ^= 1 << link[0]
             ledger.stamp_heard(heard)
             evals = {
-                net: evaluate_network(ledger.measure(net), profiles[net], penalty[net])
+                net: evaluate_network(ledger.measure(net) or prior[net], penalty[net])
                 for net in ALL_NETWORKS
             }
             x_current = ledger.distinct_senders(current)
@@ -184,7 +188,7 @@ def run_cycle(state: WorldState, cfg: ScenarioConfig) -> tuple[WorldState, Cycle
         counts=counts_post,
         handoffs=handoffs,
         avg_score=score_sum / n_terminals,
-        net_score={net: evaluate_network(curves[net], profiles[net], penalty[net]).score
+        net_score={net: evaluate_network(curves[net], penalty[net]).score
                    for net in ALL_NETWORKS},
         net_perf=curves,
     )

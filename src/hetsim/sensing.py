@@ -78,8 +78,8 @@ class ReceptionLedger:
         """(delay, plr, jitter) as the module describes them, or None unless
         some sender was heard in both the current and the previous cycle. The
         sums are fsum's, correctly rounded: the same float on every CPython."""
-        current, previous = self._current[network], self._previous[network]
-        deltas = [abs(delay - previous[s]) for s, delay in current.items() if s in previous]
+        current, get = self._current[network], self._previous[network].get
+        deltas = [abs(delay - p) for s, delay in current.items() if (p := get(s)) is not None]
         if not deltas:
             return None
         n_now = len(current)

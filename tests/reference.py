@@ -10,27 +10,35 @@ idioms:
 * `WindowLedger`, one {sender: delay} slot per cycle over the trailing
   second, its means summed with `math.fsum` as the ledger specifies;
 * the noise as `rng.randint(-a, a)`, the perceived count clipped at 0;
-* counts recomputed from the attachment every cycle.
+* counts recomputed from the attachment every cycle;
+* `score`, the network scoring as the docs state it, and the base-load
+  prior `perf_at(profile, 1)` for a network with nothing to measure.
 
-It reuses `substream_seed`, `perf_at`, `evaluate_network`, `decide_game`
-and `decide_baseline`, which have oracles of their own.
+It reuses `substream_seed`, `perf_at`, `decide_game` and
+`decide_baseline`, which have oracles of their own.
 """
 
 import random
 from collections import deque
 from itertools import islice
 from math import fsum
+from typing import NamedTuple
 
 from hetsim.domain import (
     ALL_NETWORKS,
     CYCLE_S,
+    F_DELAY_REF,
+    F_JIT_REF,
+    F_PLR_REF,
+    W_DELAY,
+    W_JIT,
+    W_PLR,
     MeasurementMode,
     NetworkKind,
     ScenarioConfig,
     StrategyKind,
 )
 from hetsim.engine import CycleRecord, substream_seed
-from hetsim.evaluation import evaluate_network
 from hetsim.netmodel import perf_at
 from hetsim.strategy import decide_baseline, decide_game
 
@@ -39,6 +47,29 @@ DSRC = NetworkKind.DSRC
 #: the loss estimate the trailing second.
 SENDER_WINDOW_CYCLES = 3
 LOSS_WINDOW_CYCLES = round(1 / CYCLE_S)
+#: Each metric's maximum acceptable value, in (delay, plr, jitter) order.
+REFERENCES = (F_DELAY_REF, F_PLR_REF, F_JIT_REF)
+
+
+class Scored(NamedTuple):
+    score: float
+    meets_requirements: bool
+
+
+def score(metrics, penalty):
+    """A penalty adds penalty times its reference to each metric. A metric's
+    utility is its reference minus it, over the reference; the score is the
+    weighted sum of the utilities. The requirements fail when two or more
+    metrics strictly exceed their references."""
+    delay, plr, jit = (m + penalty * ref for m, ref in zip(metrics, REFERENCES))
+    u_delay, u_plr, u_jit = ((ref - m) / ref for m, ref in zip((delay, plr, jit), REFERENCES))
+    exceeded = sum(m > ref for m, ref in zip((delay, plr, jit), REFERENCES))
+    return Scored(W_DELAY * u_delay + W_PLR * u_plr + W_JIT * u_jit, exceeded < 2)
+
+
+def prior(profile):
+    """What a network with nothing to measure scores from: its base load."""
+    return perf_at(profile, 1)
 
 
 class WindowLedger:
@@ -105,14 +136,15 @@ def reference_run(cfg: ScenarioConfig) -> list[CycleRecord]:
         for i, current in enumerate(before):
             rng = rngs[i]
             if sampled:
-                evals = {net: evaluate_network(ledgers[i].measure(net), cfg.profiles[net],
-                                               penalty[net])
+                measured = {net: ledgers[i].measure(net) for net in ALL_NETWORKS}
+                evals = {net: score(prior(cfg.profiles[net]) if measured[net] is None
+                                    else measured[net], penalty[net])
                          for net in ALL_NETWORKS}
                 x_current = ledgers[i].distinct_senders(current)
                 x_dsrc = ledgers[i].distinct_senders(DSRC) + (current is DSRC)
             else:
-                evals = {net: evaluate_network(curves[net] if counts[net] else None,
-                                               cfg.profiles[net], penalty[net])
+                evals = {net: score(curves[net] if counts[net] else prior(cfg.profiles[net]),
+                                    penalty[net])
                          for net in ALL_NETWORKS}
                 x_current = counts[current] - 1
                 x_dsrc = counts[DSRC]
@@ -135,7 +167,7 @@ def reference_run(cfg: ScenarioConfig) -> list[CycleRecord]:
             counts={net: attachment.count(net) for net in ALL_NETWORKS},
             handoffs=handoffs,
             avg_score=score_sum / n,
-            net_score={net: evaluate_network(curves[net], cfg.profiles[net], penalty[net]).score
+            net_score={net: score(curves[net], penalty[net]).score
                        for net in ALL_NETWORKS},
             net_perf=curves,
         ))

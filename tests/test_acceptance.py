@@ -27,7 +27,7 @@ from hetsim.domain import (
     load_scenario,
 )
 from hetsim.engine import predict_equilibrium_shift, run_scenario
-from hetsim.evaluation import ground_truth_eval, net_eva, normalize
+from hetsim.evaluation import evaluate_network, ground_truth_eval
 from hetsim.report import detect_convergence, render_csv
 from hetsim.strategy import p_degraded, p_overload, p_return, update_counter
 
@@ -113,12 +113,12 @@ def test_criterion_1_formula_oracles():
     for delay in metric_grid:
         for plr in metric_grid[:3]:
             for jit in metric_grid:
-                u = normalize(float(delay), float(plr), float(jit))
+                ev = evaluate_network((float(delay), float(plr), float(jit)))
                 exact_u = ((f_d - delay) / f_d, (f_p - plr) / f_p, (f_j - jit) / f_j)
-                for got, exact in zip(u, exact_u):
-                    check(got, exact)
-                check(net_eva(u),
-                      w_d * exact_u[0] + w_p * exact_u[1] + w_j * exact_u[2])
+                check(ev.score, w_d * exact_u[0] + w_p * exact_u[1] + w_j * exact_u[2])
+                exceeded = (delay > f_d) + (plr > f_p) + (jit > f_j)
+                assert ev.meets_requirements is (exceeded < 2)
+                tuples += 1
 
     for c in range(0, 25):
         assert update_counter(c, met=False) == c + 1

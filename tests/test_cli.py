@@ -304,6 +304,28 @@ def test_output_without_file_name_refused(tmp_path, monkeypatch, capsys, command
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("command", ["run", "compare"])
+@pytest.mark.parametrize("output", ["..", "out", "out/", "../work"],
+                         ids=["parent", "dir", "dir-slash", "cwd-via-parent"])
+def test_output_naming_a_directory_refused(tmp_path, monkeypatch, capsys, command, output):
+    # A -o naming a directory is refused before anything runs: run would fail
+    # to write it only after the whole run, and compare would read it as the
+    # stem of hidden files such as `.._game.csv`.
+    def never_run(cfg):
+        raise AssertionError("the scenario ran")
+
+    monkeypatch.setattr("hetsim.cli.run_scenario", never_run)
+    work = tmp_path / "work"
+    (work / "out").mkdir(parents=True)
+    monkeypatch.chdir(work)
+    assert main([command, STEP, "--mode", "direct", "--num-cycles", "3", "-o", output]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"-o {output!r} names no file"]
+    assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")) == [
+        "work", "work/out"]
+
+
 def test_compare_missing_output_dir_exits_2(tmp_path):
     out = tmp_path / "ghost" / "cmp.csv"
     assert main(["compare", STEP, "--num-cycles", "5", "-o", str(out)]) == 2

@@ -117,6 +117,48 @@ def test_init_state_refuses_invalid_config(mode, field, value, violation):
         init_state(cfg)
 
 
+def decided_evals(monkeypatch, cfg):
+    """The evaluations each terminal decides from in the first cycle of cfg."""
+    seen = []
+
+    def capture(current, x_dsrc, x_current, evals, *rest):
+        seen.append(evals)
+        return Decision(None, 0, Trigger.NONE)
+
+    monkeypatch.setattr(engine, "decide_game", capture)
+    state, _ = run_cycle(init_state(cfg), cfg)
+    assert len(seen) == cfg.total_terminals
+    return state, seen
+
+
+def prior_evals(cfg, penalty):
+    return {net: evaluate_network(perf_at(cfg.profiles[net], 1), penalty.get(net, 0.0))
+            for net in ALL_NETWORKS}
+
+
+def test_sampled_cycle_zero_scores_every_network_from_base_load_prior(monkeypatch):
+    # No sender is heard in two cycles yet, so measure returns None on every
+    # network and each scores its base-load prior, disturbance penalty included.
+    spec = DisturbanceSpec(network=NetworkKind.LTE, delta_e=0.08, start_cycle=0)
+    cfg = step_cfg(num_cycles=1, disturbance=spec)
+    state, seen = decided_evals(monkeypatch, cfg)
+    assert all(ledger.measure(net) is None for ledger in state.ledgers for net in ALL_NETWORKS)
+    assert all(evals == prior_evals(cfg, {NetworkKind.LTE: 0.08}) for evals in seen)
+
+
+def test_direct_empty_network_scores_from_base_load_prior(monkeypatch):
+    # An occupied network scores its curve at its load; an empty one, which
+    # no terminal can measure, its base-load prior.
+    assign = {NetworkKind.DSRC: 10, NetworkKind.LTE: 40, NetworkKind.WIFI: 0}
+    cfg = step_cfg(num_cycles=1, measurement_mode=MeasurementMode.DIRECT,
+                   initial_assignment=assign)
+    _, seen = decided_evals(monkeypatch, cfg)
+    expected = prior_evals(cfg, {})
+    for net in (NetworkKind.DSRC, NetworkKind.LTE):
+        expected[net] = evaluate_network(perf_at(cfg.profiles[net], assign[net]))
+    assert all(evals == expected for evals in seen)
+
+
 @pytest.mark.parametrize("kind", list(StrategyKind), ids=lambda k: k.value)
 @pytest.mark.parametrize("mode", list(MeasurementMode), ids=lambda m: m.value)
 def test_cycle_calls_match_traced_benchmark_closed_forms(monkeypatch, mode, kind):
@@ -361,8 +403,7 @@ def expected_next_counts(cfg, counter):
     moves with the same probabilities.
     """
     counts, params = cfg.initial_assignment, cfg.strategy
-    evals = {net: evaluate_network(perf_at(cfg.profiles[net], counts[net])
-                                   if counts[net] else None, cfg.profiles[net])
+    evals = {net: evaluate_network(perf_at(cfg.profiles[net], counts[net] or 1))
              for net in ALL_NETWORKS}
     x_dsrc = counts[NetworkKind.DSRC]
     expected = {net: float(n) for net, n in counts.items()}

@@ -3,68 +3,83 @@ import random
 
 import pytest
 
-from hetsim.domain import ALL_NETWORKS, NetworkKind
+from hetsim.domain import (
+    ALL_NETWORKS,
+    F_DELAY_REF,
+    F_JIT_REF,
+    F_PLR_REF,
+    W_DELAY,
+    W_JIT,
+    W_PLR,
+    NetworkKind,
+)
 from hetsim.evaluation import (
     NetEvaluation,
     best_network,
     evaluate_network,
     meets_requirements,
-    net_eva,
-    normalize,
     select_best,
 )
 from hetsim.netmodel import NetworkProfile, perf_at
 
+REFERENCES = (F_DELAY_REF, F_PLR_REF, F_JIT_REF)
+WEIGHTS = (W_DELAY, W_PLR, W_JIT)
+
+
+def utility(index, value):
+    """One metric's normalized utility: the score with the other two metrics
+    at their references, where their utilities are 0, over its weight."""
+    metrics = list(REFERENCES)
+    metrics[index] = value
+    return evaluate_network(tuple(metrics)).score / WEIGHTS[index]
+
+
 def test_normalize_threshold_point():
-    u_delay, _, _ = normalize(0.1, 0.0, 0.0)
-    assert u_delay == 0.0
+    assert utility(0, 0.1) == 0.0
 
 
 def test_normalize_halfway():
-    u_delay, _, _ = normalize(0.05, 0.0, 0.0)
-    assert u_delay == pytest.approx(0.5)
+    assert utility(0, 0.05) == pytest.approx(0.5)
 
 
 def test_normalize_over_threshold_negative():
-    _, u_plr, _ = normalize(0.0, 0.10, 0.0)
-    assert u_plr == pytest.approx(-1.0)
+    assert utility(1, 0.10) == pytest.approx(-1.0)
 
 
 def test_normalize_order_reversing():
     for idx in range(3):
-        worse = [0.01, 0.01, 0.01]
-        worse[idx] = 0.09
-        better = [0.01, 0.01, 0.01]
-        assert normalize(*worse)[idx] < normalize(*better)[idx]
+        assert utility(idx, 0.09) < utility(idx, 0.01)
 
 
 def test_utilities_never_exceed_one():
     rng = random.Random(6)
     for _ in range(500):
         metrics = (rng.uniform(0, 0.5), rng.uniform(0, 1.5), rng.uniform(0, 0.5))
-        assert all(u <= 1.0 for u in normalize(*metrics))
+        assert all(utility(idx, m) <= 1.0 for idx, m in enumerate(metrics))
+        assert evaluate_network(metrics).score <= 1.0
 
 
 def test_net_eva_all_ones():
-    assert net_eva((1.0, 1.0, 1.0)) == pytest.approx(1.0)
+    assert evaluate_network((0.0, 0.0, 0.0)).score == pytest.approx(1.0)
 
 
 def test_net_eva_weighted_sum():
-    assert net_eva((0.5, 1.0, 0.0)) == pytest.approx(0.55)
+    # Utilities (0.5, 1, 0).
+    assert evaluate_network((0.05, 0.0, 0.1)).score == pytest.approx(0.55)
 
 
 def test_net_eva_zeros():
-    assert net_eva((0.0, 0.0, 0.0)) == 0.0
+    assert evaluate_network(REFERENCES).score == 0.0
 
 
 def test_net_eva_monotone_in_each_utility():
     rng = random.Random(0)
     for _ in range(200):
-        u = [rng.uniform(-2, 1) for _ in range(3)]
-        base = net_eva(tuple(u))
+        metrics = [rng.uniform(0, 0.3) for _ in range(3)]
+        base = evaluate_network(tuple(metrics)).score
         idx = rng.randrange(3)
-        u[idx] += rng.uniform(0, 1)
-        assert net_eva(tuple(u)) >= base
+        metrics[idx] -= rng.uniform(0, 0.3)  # a better metric
+        assert evaluate_network(tuple(metrics)).score >= base
 
 
 def test_requirements_two_of_three_fails():
@@ -118,10 +133,14 @@ def test_select_best_tie_without_current_uses_fixed_order():
 
 
 def test_select_best_requires_all_networks():
-    evals = evals_from_scores([0.5, 0.7, 0.6])
-    del evals[NetworkKind.WIFI]
-    with pytest.raises(ValueError):
-        select_best(evals, NetworkKind.DSRC)
+    for net in ALL_NETWORKS:
+        evals = evals_from_scores([0.5, 0.7, 0.6])
+        del evals[net]
+        with pytest.raises(ValueError, match="select_best needs all three networks"):
+            select_best(evals, NetworkKind.DSRC)
+    extra = {**evals_from_scores([0.5, 0.7, 0.6]), "5g": NetEvaluation(0.9, True)}
+    with pytest.raises(ValueError, match=r"needs all three networks, got \['5g', 'dsrc'"):
+        select_best(extra, NetworkKind.DSRC)
 
 
 def test_best_network_excludes():
@@ -167,31 +186,24 @@ def test_select_best_affine_invariance():
 
 
 def test_evaluate_network_measured():
-    profile = NetworkProfile(d0=0.01, a=0.1, p0=0.01,
-                             b=0.05, g0=0.002, h=0.05, cap=50)
     metrics = (0.05, 0.025, 0.05)
-    ev = evaluate_network(metrics, profile)
+    ev = evaluate_network(metrics)
     assert ev.score == pytest.approx(0.5)
     assert ev.meets_requirements
-    assert ev.score == net_eva(normalize(*metrics))
-
-
-def test_evaluate_network_fallback_prior():
-    profile = NetworkProfile(d0=0.06, a=0.12, p0=0.01,
-                             b=0.08, g0=0.015, h=0.12, cap=60)
-    ev = evaluate_network(None, profile)
-    ref = evaluate_network(perf_at(profile, 1), profile)
-    assert ev.score == ref.score
-    assert ev.meets_requirements == ref.meets_requirements
+    # Each utility in parentheses, then the weighted sum left to right: the
+    # grouping every pinned digest was taken with.
+    assert ev == (W_DELAY * ((F_DELAY_REF - 0.05) / F_DELAY_REF)
+                  + W_PLR * ((F_PLR_REF - 0.025) / F_PLR_REF)
+                  + W_JIT * ((F_JIT_REF - 0.05) / F_JIT_REF), True)
 
 
 def test_evaluate_network_penalty_drops_score_exactly():
     profile = NetworkProfile(d0=0.03, a=0.25, p0=0.01,
                              b=0.12, g0=0.01, h=0.15, cap=40)
     metrics = perf_at(profile, 17)
-    clean = evaluate_network(metrics, profile)
+    clean = evaluate_network(metrics)
     for delta in (0.05, 0.08, 0.5):
-        hit = evaluate_network(metrics, profile, penalty=delta)
+        hit = evaluate_network(metrics, penalty=delta)
         assert clean.score - hit.score == pytest.approx(delta, abs=1e-12)
 
 
@@ -199,5 +211,5 @@ def test_penalty_can_flip_requirements():
     profile = NetworkProfile(d0=0.0999, a=0.0, p0=0.0499,
                              b=0.0, g0=0.0999, h=0.0, cap=1, exponent=1)
     metrics = perf_at(profile, 10)
-    assert evaluate_network(metrics, profile).meets_requirements
-    assert not evaluate_network(metrics, profile, penalty=0.05).meets_requirements
+    assert evaluate_network(metrics).meets_requirements
+    assert not evaluate_network(metrics, penalty=0.05).meets_requirements

@@ -1,9 +1,10 @@
 import random
 
 import pytest
+from reference import score
 
 from hetsim.domain import CYCLE_S
-from hetsim.evaluation import ground_truth_eval, net_eva, normalize
+from hetsim.evaluation import ground_truth_eval
 from hetsim.netmodel import HEARD, LOST, LinkSample, NetworkProfile, perf_at, sample_link
 
 #: A generation time whose round trip moves the last bits of most delays.
@@ -63,7 +64,7 @@ def test_flat_profile_eval_constant():
 def test_ground_truth_eval_matches_pipeline():
     p = profile()
     for n in (0, 7, 42):
-        expected = net_eva(normalize(*perf_at(p, n)))
+        expected = score(perf_at(p, n), 0.0).score  # the reference's own scoring
         assert ground_truth_eval(p, n) == expected
 
 

@@ -7,7 +7,8 @@ and 5 cycles in direct mode, at most 12 terminals in sampled mode. One
 reference property runs sampled mode for 11-20 cycles with moderate
 curves, long enough for the trailing-second loss window to slide. The
 last test feeds whole scenario documents, each a shipped one with one
-value replaced, through the command line.
+value replaced, through the command line. The argmax property draws
+score triples instead.
 """
 
 import dataclasses
@@ -39,6 +40,7 @@ from hetsim.domain import (  # noqa: E402
     validate_config,
 )
 from hetsim.engine import init_state, run_cycle, run_scenario  # noqa: E402
+from hetsim.evaluation import NetEvaluation, best_network, select_best  # noqa: E402
 from hetsim.report import render_csv, summarize  # noqa: E402
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -304,3 +306,33 @@ def test_every_violation_opens_with_its_field_path(cfg):
     for violation in validate_config(cfg):
         path = re.match(r"[\w.]+", violation).group()
         assert path in FIELD_PATHS and violation[len(path)] in " :", violation
+
+
+@st.composite
+def tied_scores(draw):
+    """Three scores drawn from a pool of one to three, so ties are common."""
+    pool = draw(st.lists(st.floats(), min_size=1, max_size=3))
+    return [draw(st.sampled_from(pool)) for _ in ALL_NETWORKS]
+
+
+def max_best_network(evals, exclude=None):
+    return max((net for net in ALL_NETWORKS if net is not exclude),
+               key=lambda net: evals[net].score)
+
+
+def max_select_best(evals, current):
+    best = max_best_network(evals, exclude=current)
+    return best if evals[best].score > evals[current].score else current
+
+
+@CHECKS
+@given(tied_scores(), st.lists(st.booleans(), min_size=3, max_size=3))
+def test_argmax_matches_max_definitions(scores, flags):
+    # The argmax as max() over ALL_NETWORKS with a score key, first maximum
+    # kept, for every excluded and every current network.
+    evals = {net: NetEvaluation(score, flag)
+             for net, score, flag in zip(ALL_NETWORKS, scores, flags)}
+    for exclude in (None, *ALL_NETWORKS):
+        assert best_network(evals, exclude) is max_best_network(evals, exclude)
+    for current in ALL_NETWORKS:
+        assert select_best(evals, current) is max_select_best(evals, current)

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 from fractions import Fraction
 
@@ -46,7 +45,7 @@ def view(current=NetworkKind.DSRC, x_dsrc=10, x_current=None, ev=None,
     # the current network is DSRC, so dsrc_meets wins.
     ev = dict(ev if ev is not None else evals())
     for net, flag in {current: current_meets, NetworkKind.DSRC: dsrc_meets}.items():
-        ev[net] = dataclasses.replace(ev[net], meets_requirements=flag)
+        ev[net] = ev[net]._replace(meets_requirements=flag)
     # The five facts a terminal decides from, in decide_game's order.
     return (current, x_dsrc, x_current if x_current is not None else x_dsrc, ev, c)
 
