@@ -118,13 +118,22 @@ def _scenario(args: argparse.Namespace) -> ScenarioConfig:
     return cfg
 
 
-def _output_path(args: argparse.Namespace, suffix: str = "") -> Path:
-    """The CSV path: `-o`, else `<scenario stem>.csv`; a suffix goes before `.csv`."""
+def _output_paths(args: argparse.Namespace, suffixes: list[str]) -> list[Path]:
+    """The CSV paths: `-o`, else `<scenario stem>.csv`, each suffix before `.csv`,
+    each opened here before any run by a probe that leaves no file it made."""
     out = args.output
     if out is not None and (Path(out).name in ("", "..") or Path(out).is_dir()):
         raise _CliError(f"-o {out!r} names no file")  # "", ".", "/", ".." or a directory
     base = Path(Path(args.scenario).stem + ".csv" if out is None else out)
-    return base.with_name(base.stem + suffix + ".csv") if suffix else base
+    paths = [base.with_name(f"{base.stem}{suffix}.csv") if suffix else base for suffix in suffixes]
+    for path in paths:
+        if path.is_dir():
+            raise _CliError(f"output {str(path)!r} is a directory")
+        existed = os.path.lexists(path)
+        open(path, "a").close()  # an OSError names the path
+        if not existed:
+            path.unlink()
+    return paths
 
 
 def _run(cfg: ScenarioConfig, out: Path) -> RunSummary:
@@ -136,15 +145,16 @@ def _run(cfg: ScenarioConfig, out: Path) -> RunSummary:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    print(format_summary(_run(_scenario(args), _output_path(args))))
+    print(format_summary(_run(_scenario(args), *_output_paths(args, [""]))))
     return EXIT_OK
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
     cfg = _scenario(args)  # validity does not depend on the strategy kind
-    game, baseline = (_run(dataclasses.replace(cfg, strategy_kind=kind),
-                           _output_path(args, f"_{kind.value}"))
-                      for kind in (StrategyKind.GAME, StrategyKind.BASELINE_MCDM))
+    kinds = (StrategyKind.GAME, StrategyKind.BASELINE_MCDM)
+    outs = _output_paths(args, [f"_{kind.value}" for kind in kinds])
+    game, baseline = (_run(dataclasses.replace(cfg, strategy_kind=kind), out)
+                      for kind, out in zip(kinds, outs))
     print(format_comparison(compare(game, baseline)))
     return EXIT_OK
 

@@ -161,6 +161,7 @@ def run_cycle(state: WorldState, cfg: ScenarioConfig) -> tuple[WorldState, Cycle
             }
             x_current = ledger.distinct_senders(current)
             x_dsrc = x_current + 1 if current is DSRC else ledger.distinct_senders(DSRC)
+            ledger.end_cycle()  # nothing reads the previous cycle's delays again
         if noise:
             r = rng.getrandbits(k)
             while r >= width:

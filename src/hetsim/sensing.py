@@ -1,9 +1,9 @@
 """Per-terminal reception bookkeeping and the broadcast-derived link metrics.
 
-Every terminal keeps, per network, the delays heard in the current and
-the previous cycle (one per sender) and a ring of heard-sender bitmasks,
-one per cycle of the trailing second, oldest first: a window's sender
-population is the popcount of its masks' OR. From them derive:
+Every terminal keeps, per network, a ring of heard-sender bitmasks, one per
+cycle of the trailing second, oldest first (a window's sender population is
+the popcount of its masks' OR), and the delays heard in the current cycle
+and, until it has measured, the previous one (one per sender). From them derive:
 
 * the distinct-sender count over the three-cycle window, which estimates
   how many terminals are broadcasting on a network without being fooled
@@ -33,11 +33,11 @@ LOSS_WINDOW_CYCLES = round(1 / CYCLE_S)
 
 
 class ReceptionLedger:
-    """Reception history of one terminal (exclusively owned, not shared):
-    two {sender: delay} slots and a ring of heard-sender masks per network."""
+    """One terminal's own reception history: per network a heard-sender mask ring,
+    this cycle's {sender: delay} slot and, until `end_cycle`, the last cycle's."""
 
     def __init__(self):
-        self._previous: dict[NetworkKind, dict[int, float]] = {n: {} for n in ALL_NETWORKS}
+        self._previous: dict[NetworkKind, dict[int, float]] | None = {n: {} for n in ALL_NETWORKS}
         self._current: dict[NetworkKind, dict[int, float]] = {n: {} for n in ALL_NETWORKS}
         # A cycle before the first and a silent one count alike.
         self._masks = {n: deque([0] * LOSS_WINDOW_CYCLES, LOSS_WINDOW_CYCLES) for n in ALL_NETWORKS}
@@ -86,3 +86,7 @@ class ReceptionLedger:
         heard = reduce(or_, self._masks[network]).bit_count()
         return (fsum(current.values()) / n_now, (heard - n_now) / n_now,
                 fsum(deltas) / len(deltas))
+
+    def end_cycle(self) -> None:
+        """Release the previous cycle's delays: `measure` raises until `begin_cycle`."""
+        self._previous = None

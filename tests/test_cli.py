@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import subprocess
@@ -324,6 +325,47 @@ def test_output_naming_a_directory_refused(tmp_path, monkeypatch, capsys, comman
     assert captured.err.splitlines() == [f"-o {output!r} names no file"]
     assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")) == [
         "work", "work/out"]
+
+
+def os_error(code, path):
+    return f"[Errno {code}] {os.strerror(code)}: {path!r}"
+
+
+@pytest.mark.parametrize("command, flags, code, error", [
+    ("run", ["-o", "missing/x.csv"], 2, os_error(errno.ENOENT, "missing/x.csv")),
+    ("compare", ["-o", "missing/x.csv"], 2, os_error(errno.ENOENT, "missing/x_game.csv")),
+    ("run", ["-o", "file/x.csv"], 2, os_error(errno.ENOTDIR, "file/x.csv")),
+    ("compare", ["-o", "file/x.csv"], 2, os_error(errno.ENOTDIR, "file/x_game.csv")),
+    ("run", [], 1, "output 'table2_step.csv' is a directory"),
+    ("compare", ["-o", "x.csv"], 1, "output 'x_baseline_mcdm.csv' is a directory"),
+], ids=["run-missing-dir", "compare-missing-dir", "run-under-file", "compare-under-file",
+        "run-derived-dir", "compare-derived-dir"])
+def test_unwritable_output_refused_before_the_run(tmp_path, monkeypatch, capsys,
+                                                  command, flags, code, error):
+    # Every output path is opened for writing before the first run, the paths
+    # derived from the scenario stem or -o included: a bad one costs no
+    # simulation, and compare leaves no game CSV behind nor changes an old one.
+    def never_run(cfg):
+        raise AssertionError("the scenario ran")
+
+    monkeypatch.setattr("hetsim.cli.run_scenario", never_run)
+    monkeypatch.setattr("hetsim.engine.run_scenario", never_run)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "file").write_text("not a directory\n")
+    (tmp_path / "x_game.csv").write_text("an earlier run\n")
+    (tmp_path / "table2_step.csv").mkdir()
+    (tmp_path / "x_baseline_mcdm.csv").mkdir()
+
+    def tree():
+        return {p.relative_to(tmp_path).as_posix(): p.is_file() and p.read_text()
+                for p in tmp_path.rglob("*")}
+
+    before = tree()
+    assert main([command, STEP, "--mode", "direct", "--num-cycles", "3", *flags]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [error]
+    assert tree() == before
 
 
 def test_compare_missing_output_dir_exits_2(tmp_path):

@@ -131,6 +131,21 @@ def decided_evals(monkeypatch, cfg):
     return state, seen
 
 
+def recorded_measures(monkeypatch):
+    """What each ledger's `measure` returned per network inside the cycle run
+    last, the readings the engine scored: a ledger releases the delays they
+    compare once its terminal has measured. Clear it before each run_cycle."""
+    readings = {}
+    measure = ReceptionLedger.measure
+
+    def recorded(ledger, net):
+        readings[ledger, net] = reading = measure(ledger, net)
+        return reading
+
+    monkeypatch.setattr(ReceptionLedger, "measure", recorded)
+    return readings
+
+
 def prior_evals(cfg, penalty):
     return {net: evaluate_network(perf_at(cfg.profiles[net], 1), penalty.get(net, 0.0))
             for net in ALL_NETWORKS}
@@ -141,8 +156,9 @@ def test_sampled_cycle_zero_scores_every_network_from_base_load_prior(monkeypatc
     # network and each scores its base-load prior, disturbance penalty included.
     spec = DisturbanceSpec(network=NetworkKind.LTE, delta_e=0.08, start_cycle=0)
     cfg = step_cfg(num_cycles=1, disturbance=spec)
+    measured = recorded_measures(monkeypatch)
     state, seen = decided_evals(monkeypatch, cfg)
-    assert all(ledger.measure(net) is None for ledger in state.ledgers for net in ALL_NETWORKS)
+    assert all(measured[ledger, net] is None for ledger in state.ledgers for net in ALL_NETWORKS)
     assert all(evals == prior_evals(cfg, {NetworkKind.LTE: 0.08}) for evals in seen)
 
 
@@ -212,6 +228,20 @@ def test_cycle_calls_match_traced_benchmark_closed_forms(monkeypatch, mode, kind
     assert (0 < delivered < calls["sample_link"]) if sampled else delivered == 0
 
 
+@pytest.mark.parametrize("kind", list(StrategyKind), ids=lambda k: k.value)
+def test_sampled_ledgers_hold_one_cycle_of_delays_between_cycles(kind):
+    # Each receiver releases the previous cycle's delays once it has measured,
+    # so between cycles the ledgers hold at most one delay per ordered pair.
+    cfg = step_cfg(num_cycles=5, strategy_kind=kind)
+    n = cfg.total_terminals
+    state = init_state(cfg)
+    for _ in range(cfg.num_cycles):
+        state, _ = run_cycle(state, cfg)
+        assert all(ledger._previous is None for ledger in state.ledgers)
+        held = sum(len(slot) for ledger in state.ledgers for slot in ledger._current.values())
+        assert 0 < held <= n * (n - 1)
+
+
 def lossy_step_cfg(**overrides):
     """table2_step with every network's base loss p0 at 0.8, so LOST is common."""
     profiles = {net: dataclasses.replace(p, p0=0.8) for net, p in step_cfg().profiles.items()}
@@ -235,6 +265,7 @@ def test_heard_masks_match_window_reference_fed_the_same_slots(monkeypatch, make
         return slots
 
     monkeypatch.setattr(ReceptionLedger, "begin_cycle", captured_begin)
+    measured = recorded_measures(monkeypatch)
     cfg = make_cfg(num_cycles=12, strategy_kind=kind)
     n = cfg.total_terminals
     state = init_state(cfg)
@@ -242,6 +273,7 @@ def test_heard_masks_match_window_reference_fed_the_same_slots(monkeypatch, make
     lost = 0
     for _ in range(cfg.num_cycles):
         opened.clear()
+        measured.clear()
         state, _ = run_cycle(state, cfg)
         assert len(opened) == n
         for ledger, ref in zip(state.ledgers, refs):
@@ -252,7 +284,7 @@ def test_heard_masks_match_window_reference_fed_the_same_slots(monkeypatch, make
             lost += n - 1 - sum(map(len, opened[ledger]))
             for net in ALL_NETWORKS:
                 assert ledger.distinct_senders(net) == ref.distinct_senders(net)
-                assert ledger.measure(net) == ref.measure(net)
+                assert measured[ledger, net] == ref.measure(net)
     links = n * (n - 1) * cfg.num_cycles
     assert 0 < lost < links
     if make_cfg is lossy_step_cfg:
@@ -565,7 +597,7 @@ def clipped_uniform_mean(delay, jitter, floor):
 
 
 @pytest.mark.parametrize("seed", [42, 7, 123])
-def test_sampled_measurements_agree_with_curves(seed):
+def test_sampled_measurements_agree_with_curves(monkeypatch, seed):
     # rho = sigma = 0: no terminal can switch, so every load stays fixed and
     # each cycle's receptions are fresh draws from the same curves.
     frozen = dataclasses.replace(step_cfg().strategy, rho=0.0, sigma=0.0)
@@ -574,12 +606,14 @@ def test_sampled_measurements_agree_with_curves(seed):
     counts = dict(state.counts)
     delays = {net: [] for net in ALL_NETWORKS}
     senders = {net: [] for net in ALL_NETWORKS}  # (heard, expected, variance)
+    measured = recorded_measures(monkeypatch)
     for t in range(cfg.num_cycles):
+        measured.clear()
         state, record = run_cycle(state, cfg)
         assert record.counts == counts
         for i, ledger in enumerate(state.ledgers):
             for net in ALL_NETWORKS:
-                metrics = ledger.measure(net)
+                metrics = measured[ledger, net]
                 if metrics is not None:
                     delays[net].append(metrics[0])
                 # Non-overlapping 3-cycle windows keep the snapshots independent.
@@ -631,7 +665,7 @@ def loss_estimate_mean(m, plr):
 
 
 @pytest.mark.parametrize("p0, num_cycles", [(None, 25), (0.8, 60)], ids=["table2_step", "lossy"])
-def test_sampled_jitter_and_loss_match_exact_expectations(p0, num_cycles):
+def test_sampled_jitter_and_loss_match_exact_expectations(monkeypatch, p0, num_cycles):
     # rho = sigma = 0 keeps every load fixed, so from cycle 10 on, each reading
     # of `measure` draws from one distribution per (network, own network). The
     # lossy case raises every p0 to 0.8, where a sender misses all 9 earlier
@@ -644,6 +678,7 @@ def test_sampled_jitter_and_loss_match_exact_expectations(p0, num_cycles):
     # where `measure` reads, of reading minus expectation. Each term has mean 0,
     # and receivers draw from their own streams, so the sums are independent.
     residuals = {(net, metric): [] for net in ALL_NETWORKS for metric in ("jitter", "loss")}
+    measured = recorded_measures(monkeypatch)
     for seed in range(6):
         cfg = step_cfg(seed=seed, num_cycles=num_cycles, strategy=frozen, profiles=profiles)
         state = init_state(cfg)
@@ -656,13 +691,14 @@ def test_sampled_jitter_and_loss_match_exact_expectations(p0, num_cycles):
                                       loss_estimate_mean(counts[net] - own, plr))
         sums = [{net: [0.0, 0.0] for net in ALL_NETWORKS} for _ in state.ledgers]
         for t in range(num_cycles):
+            measured.clear()
             state, record = run_cycle(state, cfg)
             assert record.counts == counts
             if t < 10:
                 continue
             for i, ledger in enumerate(state.ledgers):
                 for net in ALL_NETWORKS:
-                    metrics = ledger.measure(net)
+                    metrics = measured[ledger, net]
                     if metrics is not None:
                         want_jitter, want_loss = expected[net, state.attachment[i] is net]
                         sums[i][net][0] += metrics[2] - want_jitter

@@ -229,14 +229,30 @@ def test_measurements_are_pure():
     assert first == second
 
 
-def replay_against_reference(rng, senders, n_cycles):
+def test_measure_after_release_raises():
+    # end_cycle drops the previous cycle's delays, which measure compares
+    # against: reading it again fails rather than measuring something else.
+    led = ReceptionLedger()
+    heard_before(led, [1])
+    heard_before(led, [1, 2])
+    led.end_cycle()
+    with pytest.raises(TypeError):
+        led.measure(DSRC)
+    assert led.distinct_senders(DSRC) == 2
+    heard_before(led, [2])
+    assert led.measure(DSRC) == (0.01, 1.0, 0.0)  # sender 1 heard within the second
+
+
+def replay_against_reference(rng, senders, n_cycles, release=False):
     """Drive a ReceptionLedger and a WindowLedger alike and compare every read.
 
     Each sender is heard with its own probability, sometimes twice in a
     cycle, and moves between networks; some cycles are silent. Receptions go
     through record_reception or, as the engine writes them, into the slots
     begin_cycle returns, stamped by stamp_heard with the masks of the senders
-    in those slots, sometimes between writes.
+    in those slots, sometimes between writes. With `release`, end_cycle
+    follows each cycle's reads, as the engine calls it; the reference keeps
+    every slot.
     """
     led, ref = ReceptionLedger(), WindowLedger()
 
@@ -278,12 +294,25 @@ def replay_against_reference(rng, senders, n_cycles):
         if unstamped:
             stamp(opened)
         same()
+        if release:
+            led.end_cycle()
+            for net in ALL_NETWORKS:
+                with pytest.raises(TypeError):
+                    led.measure(net)
+                assert led.distinct_senders(net) == ref.distinct_senders(net)
 
 
 @pytest.mark.parametrize("seed", range(52))
 def test_ledger_matches_window_reference(seed):
     # 0..25 cycles, twice over, with 8 senders.
     replay_against_reference(random.Random(seed), range(8), seed % 26)
+
+
+@pytest.mark.parametrize("seed", range(1, 26))
+def test_released_ledger_matches_window_reference(seed):
+    # The replays of seeds 1..25 above, each ledger released after every
+    # cycle's reads: the next cycle measures what an unreleased one does.
+    replay_against_reference(random.Random(seed), range(8), seed, release=True)
 
 
 @pytest.mark.parametrize("seed", range(12))
