@@ -122,8 +122,8 @@ def _output_paths(args: argparse.Namespace, suffixes: list[str]) -> list[Path]:
     """The CSV paths: `-o`, else `<scenario stem>.csv`, each suffix before `.csv`,
     each opened here before any run by a probe that leaves no file it made."""
     out = args.output
-    if out is not None and (Path(out).name in ("", "..") or Path(out).is_dir()):
-        raise _CliError(f"-o {out!r} names no file")  # "", ".", "/", ".." or a directory
+    if out is not None and (os.path.basename(out) in ("", ".", "..") or Path(out).is_dir()):
+        raise _CliError(f"-o {out!r} names no file")  # "", "/", "x/", "x/.", ".." or a directory
     base = Path(Path(args.scenario).stem + ".csv" if out is None else out)
     paths = [base.with_name(f"{base.stem}{suffix}.csv") if suffix else base for suffix in suffixes]
     for path in paths:

@@ -1,15 +1,15 @@
 """The discrete-time closed loop.
 
-Each cycle runs in one pass over the terminals. Each terminal hears every
-other terminal's broadcast on its pre-cycle network (packet-sampled, or
-bypassed in direct mode where measurements come straight from the
-ground-truth curves), then measures and scores all three networks from
-what it received, decides and moves. A network with nothing to measure
-scores from the optimistic base-load prior perf_at(profile, 1), which the
-engine supplies. Each terminal decides from the pre-cycle snapshot
-(broadcasts, populations and curves as they stood before anyone moved),
-and a move touches only the mover's own slot, so terminals never observe
-each other's same-cycle moves.
+Each cycle runs in two passes over the terminals, both reading the pre-cycle
+snapshot (broadcasts, populations and curves as they stood before anyone
+moved). Perceive: in sampled mode every terminal hears every other
+terminal's broadcast on its pre-cycle network and measures all three
+networks (`sensing.perceive`); in direct mode measurements come straight
+from the ground-truth curves. A network with nothing to measure scores
+from the optimistic base-load prior perf_at(profile, 1), which the engine
+supplies. Decide: each terminal scores its perception, decides and moves.
+A move touches only the mover's own slot, so terminals never observe each
+other's same-cycle moves.
 
 A world exists only for a valid config: `init_state` refuses one with
 `validate_config` violations. Randomness is confined to per-terminal
@@ -34,8 +34,8 @@ from .domain import (
     validate_config,
 )
 from .evaluation import evaluate_network
-from .netmodel import LOST, perf_at, sample_link
-from .sensing import ReceptionLedger
+from .netmodel import perf_at, sample_link
+from .sensing import ReceptionLedger, perceive
 from .strategy import decide_baseline, decide_game
 
 _MASK64 = 2**64 - 1
@@ -92,42 +92,38 @@ def init_state(cfg: ScenarioConfig) -> WorldState:
 
 def run_cycle(state: WorldState, cfg: ScenarioConfig) -> tuple[WorldState, CycleRecord]:
     """Advance the world by one cycle and emit its record."""
-    sample = sample_link  # read per call, not at import: the benchmark's tracer replaces it
     t = state.cycle
     rngs, attachment, counters = state.rngs, state.attachment, state.counters
     n_terminals = len(attachment)
-    params = cfg.strategy
-    profiles = cfg.profiles
-    ledgers = state.ledgers
+    params, profiles = cfg.strategy, cfg.profiles
     counts_pre = state.counts
-    gen_time = t * CYCLE_S
     # (delay, plr, jitter) at the pre-decision loads; every phase below reads it.
     curves = {net: perf_at(profiles[net], counts_pre[net]) for net in ALL_NETWORKS}
     penalty = {net: 0.0 for net in ALL_NETWORKS}
     if cfg.disturbance is not None and cfg.disturbance.active_at(t):
         penalty[cfg.disturbance.network] = cfg.disturbance.delta_e
 
-    if ledgers is None:
+    # Perceive: per terminal (evals, x_dsrc, x_current).
+    if state.ledgers is None:
         # An empty network has no one to measure, so it scores from the prior.
-        shared_evals = {
-            net: evaluate_network(curves[net] if counts_pre[net] else perf_at(profiles[net], 1),
-                                  penalty[net])
-            for net in ALL_NETWORKS
-        }
+        shared_evals = {net: evaluate_network(curves[net] if counts_pre[net]
+                                              else perf_at(profiles[net], 1), penalty[net])
+                        for net in ALL_NETWORKS}
+        # Read by each terminal's pre-move network; x_dsrc counts an attached terminal.
+        by_network = {net: (shared_evals, counts_pre[DSRC], counts_pre[net] - 1)
+                      for net in ALL_NETWORKS}
+        views = map(by_network.__getitem__, attachment)
     else:
         # For a network on which no sender was heard in both of the last two cycles.
         prior = {net: perf_at(profiles[net], 1) for net in ALL_NETWORKS}
-        # One link per sender, and per network the bitmask of its broadcasters.
-        fields = {net: (index, profiles[net].d0, delay, plr, -jitter, jitter + jitter)
-                  for index, (net, (delay, plr, jitter)) in enumerate(curves.items())}
-        links, rosters = [], [0] * len(ALL_NETWORKS)
-        for sender, net in enumerate(attachment):
-            link = (sender, *fields[net])
-            links.append(link)
-            rosters[link[1]] |= 1 << sender
+        # sample_link is read per call, not at import: the benchmark's tracer replaces it.
+        perceived = perceive(state.ledgers, attachment, curves, profiles, rngs, t * CYCLE_S,
+                             sample_link)
+        views = [({net: evaluate_network(m or prior[net], penalty[net])
+                   for net, m in zip(ALL_NETWORKS, measures)}, x_dsrc, x_current)
+                 for measures, x_dsrc, x_current in perceived]
 
-    # A terminal hears the pre-cycle links, reads only its own slots, counts_pre,
-    # curves and penalty, and moves only itself: all decide from one snapshot.
+    # Decide: each terminal reads its own view and moves only itself.
     game = cfg.strategy_kind is StrategyKind.GAME
     noise = cfg.noise_amplitude
     # The noise is rng.randint(-noise, noise), drawn inline the way CPython
@@ -136,32 +132,9 @@ def run_cycle(state: WorldState, cfg: ScenarioConfig) -> tuple[WorldState, Cycle
     k = width.bit_length()
     handoffs = 0
     score_sum = 0.0
-    for i in range(n_terminals):
+    for i, (evals, x_dsrc, x_current) in enumerate(views):
         rng = rngs[i]
         current = attachment[i]
-        if ledgers is None:
-            evals = shared_evals
-            # x_dsrc estimates the DSRC population, so an attached terminal
-            # counts itself; x_current counts only *heard* senders.
-            x_dsrc = counts_pre[DSRC]
-            x_current = counts_pre[current] - 1
-        else:
-            ledger = ledgers[i]
-            slots = ledger.begin_cycle()
-            rand = rng.random
-            heard = rosters.copy()  # every other broadcaster, less the lost links
-            heard[links[i][1]] ^= 1 << i
-            for link in links[:i] + links[i + 1:]:
-                if sample(link, rand, gen_time, slots) is LOST:
-                    heard[link[1]] ^= 1 << link[0]
-            ledger.stamp_heard(heard)
-            evals = {
-                net: evaluate_network(ledger.measure(net) or prior[net], penalty[net])
-                for net in ALL_NETWORKS
-            }
-            x_current = ledger.distinct_senders(current)
-            x_dsrc = x_current + 1 if current is DSRC else ledger.distinct_senders(DSRC)
-            ledger.end_cycle()  # nothing reads the previous cycle's delays again
         if noise:
             r = rng.getrandbits(k)
             while r >= width:

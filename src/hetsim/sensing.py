@@ -16,7 +16,9 @@ and, until it has measured, the previous one (one per sender). From them derive:
 * mean per-sender delay change between consecutive cycles (jitter).
 
 When the two delay slots do not hold the data for all three metrics yet,
-`measure` returns None and the caller falls back to its prior.
+`measure` returns None and the caller falls back to its prior. `perceive`, the
+engine's one call into the ledgers, is a sampled cycle's first pass: every
+receiver hears, measures and releases before any terminal decides.
 """
 
 from __future__ import annotations
@@ -25,8 +27,10 @@ from collections import deque
 from functools import reduce
 from math import fsum, inf
 from operator import or_
+from typing import Callable
 
-from .domain import ALL_NETWORKS, CYCLE_S, NetworkKind
+from .domain import ALL_NETWORKS, CYCLE_S, DSRC, NetworkKind
+from .netmodel import LOST
 
 #: Loss-estimate window, in cycles: the trailing second.
 LOSS_WINDOW_CYCLES = round(1 / CYCLE_S)
@@ -90,3 +94,33 @@ class ReceptionLedger:
     def end_cycle(self) -> None:
         """Release the previous cycle's delays: `measure` raises until `begin_cycle`."""
         self._previous = None
+
+
+def perceive(ledgers: list[ReceptionLedger], attachment: list[NetworkKind], curves: dict,
+             profiles: dict, rngs: list, gen_time: float, sample: Callable) -> list[tuple]:
+    """Per receiver ([measure(net) for net in ALL_NETWORKS], x_dsrc, x_current); the
+    caller scores a None measurement from its prior. Receiver i draws its links through
+    `sample` from `rngs[i]`; they carry `curves` (in `ALL_NETWORKS` order) as attached."""
+    # One link per sender, and per network the bitmask of its broadcasters.
+    fields = {net: (index, profiles[net].d0, delay, plr, -jitter, jitter + jitter)
+              for index, (net, (delay, plr, jitter)) in enumerate(curves.items())}
+    links = [(sender, *fields[net]) for sender, net in enumerate(attachment)]
+    rosters = [0] * len(ALL_NETWORKS)
+    for link in links:
+        rosters[link[1]] |= 1 << link[0]
+    perceptions = []
+    for i, (ledger, current) in enumerate(zip(ledgers, attachment)):
+        slots = ledger.begin_cycle()
+        rand = rngs[i].random
+        heard = rosters.copy()  # every other broadcaster, less the lost links
+        heard[links[i][1]] ^= 1 << i
+        for link in links[:i] + links[i + 1:]:
+            if sample(link, rand, gen_time, slots) is LOST:
+                heard[link[1]] ^= 1 << link[0]
+        ledger.stamp_heard(heard)
+        # x_dsrc counts an attached terminal itself; x_current counts only *heard* senders.
+        x_current = ledger.distinct_senders(current)
+        x_dsrc = x_current + 1 if current is DSRC else ledger.distinct_senders(DSRC)
+        perceptions.append(([ledger.measure(net) for net in ALL_NETWORKS], x_dsrc, x_current))
+        ledger.end_cycle()  # nothing reads the previous cycle's delays again
+    return perceptions

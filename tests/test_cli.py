@@ -306,25 +306,29 @@ def test_output_without_file_name_refused(tmp_path, monkeypatch, capsys, command
 
 
 @pytest.mark.parametrize("command", ["run", "compare"])
-@pytest.mark.parametrize("output", ["..", "out", "out/", "../work"],
-                         ids=["parent", "dir", "dir-slash", "cwd-via-parent"])
+@pytest.mark.parametrize("output", ["..", "out", "out/", "../work", "new/", "x.csv/", "x.csv/."],
+                         ids=["parent", "dir", "dir-slash", "cwd-via-parent", "missing-slash",
+                              "file-slash", "file-dot"])
 def test_output_naming_a_directory_refused(tmp_path, monkeypatch, capsys, command, output):
     # A -o naming a directory is refused before anything runs: run would fail
     # to write it only after the whole run, and compare would read it as the
-    # stem of hidden files such as `.._game.csv`.
+    # stem of hidden files such as `.._game.csv`. A trailing separator or "."
+    # names a directory too, as open() reads it, where none exists or a file does.
     def never_run(cfg):
         raise AssertionError("the scenario ran")
 
     monkeypatch.setattr("hetsim.cli.run_scenario", never_run)
     work = tmp_path / "work"
     (work / "out").mkdir(parents=True)
+    (work / "x.csv").write_text("an earlier run\n")
     monkeypatch.chdir(work)
     assert main([command, STEP, "--mode", "direct", "--num-cycles", "3", "-o", output]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [f"-o {output!r} names no file"]
     assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")) == [
-        "work", "work/out"]
+        "work", "work/out", "work/x.csv"]
+    assert (work / "x.csv").read_text() == "an earlier run\n"
 
 
 def os_error(code, path):

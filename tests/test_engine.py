@@ -242,6 +242,51 @@ def test_sampled_ledgers_hold_one_cycle_of_delays_between_cycles(kind):
         assert 0 < held <= n * (n - 1)
 
 
+@pytest.mark.parametrize("kind", list(StrategyKind), ids=lambda k: k.value)
+def test_every_receiver_perceives_before_the_first_decision(monkeypatch, kind):
+    # A sampled cycle perceives first: every ledger opens its cycle before any
+    # terminal decides. Each decision then scores its own receiver's
+    # measurements, a None one from the base-load prior, penalty included.
+    events = []
+    begin_cycle, decide_game, decide_baseline = (
+        ReceptionLedger.begin_cycle, engine.decide_game, engine.decide_baseline)
+
+    def logged_begin(ledger):
+        events.append(("begin", ledger))
+        return begin_cycle(ledger)
+
+    def logged_game(current, x_dsrc, x_current, evals, *rest):
+        events.append(("decide", evals))
+        return decide_game(current, x_dsrc, x_current, evals, *rest)
+
+    def logged_baseline(current, evals, *rest):
+        events.append(("decide", evals))
+        return decide_baseline(current, evals, *rest)
+
+    monkeypatch.setattr(ReceptionLedger, "begin_cycle", logged_begin)
+    monkeypatch.setattr(engine, "decide_game", logged_game)
+    monkeypatch.setattr(engine, "decide_baseline", logged_baseline)
+    measured = recorded_measures(monkeypatch)
+    spec = DisturbanceSpec(network=NetworkKind.LTE, delta_e=0.08, start_cycle=0)
+    cfg = step_cfg(num_cycles=3, strategy_kind=kind, disturbance=spec)
+    n = cfg.total_terminals
+    prior = {net: perf_at(cfg.profiles[net], 1) for net in ALL_NETWORKS}
+    penalty = {net: 0.08 if net is NetworkKind.LTE else 0.0 for net in ALL_NETWORKS}
+    state = init_state(cfg)
+    readings = 0
+    for _ in range(cfg.num_cycles):
+        events.clear()
+        measured.clear()
+        state, _ = run_cycle(state, cfg)
+        assert [event for event, _ in events] == ["begin"] * n + ["decide"] * n
+        assert [ledger for _, ledger in events[:n]] == state.ledgers
+        for ledger, (_, evals) in zip(state.ledgers, events[n:]):
+            assert evals == {net: evaluate_network(measured[ledger, net] or prior[net],
+                                                   penalty[net]) for net in ALL_NETWORKS}
+        readings += sum(reading is not None for reading in measured.values())
+    assert readings > 0  # not every network scored from the prior
+
+
 def lossy_step_cfg(**overrides):
     """table2_step with every network's base loss p0 at 0.8, so LOST is common."""
     profiles = {net: dataclasses.replace(p, p0=0.8) for net, p in step_cfg().profiles.items()}

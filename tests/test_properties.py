@@ -6,15 +6,17 @@ shipped scenarios never come near. Runs stay small: at most 60 terminals
 and 5 cycles in direct mode, at most 12 terminals in sampled mode. One
 reference property runs sampled mode for 11-20 cycles with moderate
 curves, long enough for the trailing-second loss window to slide. The
-last test feeds whole scenario documents, each a shipped one with one
-value replaced, through the command line. The argmax property draws
-score triples instead.
+scenario-document property feeds whole scenario documents, each a shipped
+one with one value replaced, through the command line, and the output
+property feeds `-o` strings built from path parts. The argmax property
+draws score triples instead.
 """
 
 import dataclasses
 import io
 import json
 import math
+import os
 import re
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
@@ -293,6 +295,71 @@ def test_any_scenario_document_exits_cleanly(text):
                 code = main(argv)
             assert code in (0, 1, 2), (argv[0], code)
             assert "Traceback" not in err.getvalue()
+
+
+#: Path parts of a drawn -o: names (in the working directory `dir` is a
+#: directory and `file` a regular file), the dot entries and separators.
+OUTPUT_NAMES = st.sampled_from(["a", "x.csv", "dir", "file", ".", ".."])
+SEPARATORS = st.sampled_from(["/", "//"])
+
+
+@st.composite
+def output_paths(draw):
+    """Up to four parts joined by separators, never a leading one, at times a trailing one."""
+    parts = draw(st.lists(OUTPUT_NAMES, max_size=4))
+    text = "".join(part + draw(SEPARATORS) for part in parts)
+    return text if draw(st.booleans()) else text.rstrip("/")
+
+
+def file_tree(root):
+    """Every path under root, mapped to its text if it is a regular file."""
+    return {p.relative_to(root).as_posix(): p.is_file() and p.read_text()
+            for p in root.rglob("*")}
+
+
+@CHECKS
+@given(st.sampled_from(["run", "compare"]), output_paths())
+@example("run", "new/")
+@example("run", "file/")
+@example("compare", "a/")
+def test_any_output_path_writes_what_it_prints_or_exits_cleanly(command, output):
+    # Exit 0 writes exactly the printed files, in the directory -o names (for
+    # run, at -o itself); exit 1 or 2 prints one line and changes nothing.
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp).resolve()
+        work = root / "1" / "2" / "3" / "4"  # four ".." parts still end inside root
+        (work / "dir").mkdir(parents=True)
+        (work / "file").write_text("an earlier file\n")
+        before = file_tree(root)
+        out, err = io.StringIO(), io.StringIO()
+        cwd = os.getcwd()
+        os.chdir(work)
+        try:
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main([command, str(SCENARIOS / "table2_step.json"), "--mode", "direct",
+                             "--num-cycles", "3", "-o", output])
+            printed = [line.removeprefix("wrote ") for line in out.getvalue().splitlines()
+                       if line.startswith("wrote ")]
+            if code == 0:
+                assert len(printed) == (1 if command == "run" else 2)
+                directory = os.path.dirname(output) or "."
+                assert os.path.isdir(directory), output
+                for path in printed:
+                    assert os.path.isfile(path)
+                    assert os.path.samefile(os.path.dirname(path) or ".", directory)
+                if command == "run":
+                    assert os.path.isfile(output) and os.path.samefile(output, printed[0])
+                written = {Path(os.path.realpath(path)).relative_to(root).as_posix()
+                           for path in printed}
+                assert file_tree(root).keys() == before.keys() | written
+            else:
+                assert code in (1, 2)
+                assert out.getvalue() == ""
+                assert len(err.getvalue().splitlines()) == 1
+                assert "Traceback" not in err.getvalue()
+                assert file_tree(root) == before
+        finally:
+            os.chdir(cwd)
 
 
 #: The dotted path of every field of a scenario document (the shipped ones set them all).
