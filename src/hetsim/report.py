@@ -84,16 +84,18 @@ def summarize(records: list[CycleRecord]) -> RunSummary:
 
 
 _by_network = operator.itemgetter(*ALL_NETWORKS)
-_INTS = ",".join(["%d"] * len(ALL_NETWORKS))
-_FLOATS = ",".join(["%.6f"] * len(ALL_NETWORKS))
+# One template for a whole row, cell for cell with CSV_COLUMNS: the cycle,
+# the counts and the handoffs as integers, every other cell to 6 decimals.
+_ROW = ",".join("%d" if col in ("cycle", "handoffs") or col.startswith("count_") else "%.6f"
+                for col in CSV_COLUMNS)
 
 
 def _row(record: CycleRecord) -> str:
-    cells = [str(record.cycle), f"{record.cycle * CYCLE_S:.6f}",
-             _INTS % _by_network(record.counts), str(record.handoffs),
-             f"{record.avg_score:.6f}", _FLOATS % _by_network(record.net_score)]
-    cells += [_FLOATS % column for column in zip(*_by_network(record.net_perf))]
-    return ",".join(cells)
+    dsrc, lte, wifi = _by_network(record.net_perf)  # each (delay, plr, jitter)
+    return _ROW % (record.cycle, record.cycle * CYCLE_S, *_by_network(record.counts),
+                   record.handoffs, record.avg_score, *_by_network(record.net_score),
+                   dsrc[0], lte[0], wifi[0], dsrc[1], lte[1], wifi[1],
+                   dsrc[2], lte[2], wifi[2])
 
 
 def render_csv(records: list[CycleRecord]) -> str:

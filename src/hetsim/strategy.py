@@ -10,6 +10,26 @@ Two policies share one interface:
 * the conventional single-play baseline, which jumps straight to the
   highest-scoring network every cycle.
 
+The game's switch probabilities, for a terminal perceiving x terminals on
+its network:
+
+* overload relief, for a DSRC terminal with x > n_exp:
+  rho * (x - n_exp + 1) / (x + 1). It grows with the excess and saturates
+  at rho, so the expected outflow tracks the overload without ever
+  emptying DSRC in a single cycle;
+* return to DSRC, for a terminal elsewhere while DSRC meets its
+  requirements and x_dsrc < n_exp: min(rho * (n_exp - x_dsrc) / (x + 1),
+  rho). It is proportional to DSRC's headroom and inverse to the current
+  network's population, clamped into [0, rho] (below n_exp it is never
+  negative);
+* degradation, after c consecutive failing cycles: min(sigma * c / x, 1).
+  With x terminals each applying it, sigma*c switchers are expected per
+  cycle until the clamp bites. x = 0 is a blackout with no population
+  estimate, where it degenerates to min(sigma * c, 1).
+
+The degradation counter c is halved on a cycle the current network meets
+its requirements and grows by one on a failing cycle.
+
 All functions are pure given the terminal's own perception and (for the
 game) its private random stream, so per-cycle decisions can be computed
 in any order.
@@ -49,52 +69,6 @@ NONE, OVERLOAD, DEGRADATION, RETURN_TO_DSRC, ARGMAX = (
 _new = tuple.__new__
 
 
-def p_overload(x: int, n_exp: int, rho: float) -> float:
-    """Switch probability for a DSRC terminal seeing x > n_exp senders.
-
-    Grows with the excess and saturates at rho, so the expected outflow
-    tracks the overload without ever emptying DSRC in a single cycle.
-    """
-    if x <= n_exp:
-        raise ValueError(f"overload branch requires x > n_exp, got x={x}, n_exp={n_exp}")
-    return rho * (x - n_exp + 1) / (x + 1)
-
-
-def p_degraded(c: int, x: int, sigma: float) -> float:
-    """Switch probability after c consecutive failing cycles, seeing x senders.
-
-    With x terminals each applying this, the expected number of switchers
-    per cycle is sigma*c (until the clamp bites). x=0 is a blackout with
-    no population estimate; the per-terminal probability then degenerates
-    to min(sigma*c, 1).
-    """
-    if c < 0:
-        raise ValueError(f"counter must be >= 0, got {c}")
-    if x < 1:
-        return min(sigma * c, 1.0)
-    return min(sigma * c / x, 1.0)
-
-
-def p_return(x: int, x_prime: int, n_exp: int, rho: float) -> float:
-    """Probability that a non-DSRC terminal moves back to DSRC.
-
-    Proportional to DSRC's remaining headroom and inversely to the
-    population of the current network, clamped into [0, rho]. Negative
-    raw values (x already past n_exp) clamp to 0.
-    """
-    if x < 0 or x_prime < 0:
-        raise ValueError(f"sender counts must be >= 0, got x={x}, x_prime={x_prime}")
-    raw = rho * (n_exp - x) / (x_prime + 1)
-    return min(max(raw, 0.0), rho)
-
-
-def update_counter(c: int, met: bool) -> int:
-    """Degradation counter dynamics: +1 on a failing cycle, halved on a good one."""
-    if c < 0:
-        raise ValueError(f"counter must be >= 0, got {c}")
-    return c // 2 if met else c + 1
-
-
 def decide_game(current: NetworkKind, x_dsrc: int, x_current: int,
                 evals: dict[NetworkKind, NetEvaluation], counter_c: int,
                 params: StrategyParams, rng: random.Random) -> Decision:
@@ -109,24 +83,26 @@ def decide_game(current: NetworkKind, x_dsrc: int, x_current: int,
     every path that inspects the current network's requirements.
     """
     c = counter_c
+    n_exp = params.n_exp
     dsrc_meets = evals[DSRC].meets_requirements
 
     if current is DSRC:
-        if x_dsrc > params.n_exp:
-            if rng.random() < p_overload(x_dsrc, params.n_exp, params.rho):
-                target = best_network(evals, exclude=DSRC)
-                return Decision(target, c, OVERLOAD)
+        if x_dsrc > n_exp and rng.random() < params.rho * (x_dsrc - n_exp + 1) / (x_dsrc + 1):
+            return Decision(best_network(evals, exclude=DSRC), c, OVERLOAD)
         x, met = x_dsrc, dsrc_meets
     else:
-        if dsrc_meets and x_dsrc < params.n_exp:
-            if rng.random() < p_return(x_dsrc, x_current, params.n_exp, params.rho):
+        if dsrc_meets and x_dsrc < n_exp:
+            rho = params.rho
+            if rng.random() < min(rho * (n_exp - x_dsrc) / (x_current + 1), rho):
                 return Decision(DSRC, c, RETURN_TO_DSRC)
         x, met = x_current, evals[current].meets_requirements
 
-    c = update_counter(c, met)
-    if not met and rng.random() < p_degraded(c, x, params.sigma):
-        target = best_network(evals, exclude=current)
-        return Decision(target, c, DEGRADATION)
+    if met:
+        return _new(Decision, (None, c // 2, NONE))
+    c += 1
+    sigma = params.sigma
+    if rng.random() < min(sigma * c / x if x > 0 else sigma * c, 1.0):
+        return Decision(best_network(evals, exclude=current), c, DEGRADATION)
     return _new(Decision, (None, c, NONE))
 
 

@@ -12,10 +12,15 @@ idioms:
 * the noise as `rng.randint(-a, a)`, the perceived count clipped at 0;
 * counts recomputed from the attachment every cycle;
 * `score`, the network scoring as the docs state it, and the base-load
-  prior `perf_at(profile, 1)` for a network with nothing to measure.
+  prior `perf_at(profile, 1)` for a network with nothing to measure;
+* the decision rules as the docs state them: the game's gates, its three
+  switch probabilities, the counter rule and the fall-through to the next
+  check after a lost draw (`play_game`), and the baseline's argmax, whose
+  ties keep the current network (`play_baseline`, `best_keeping`). A
+  switch goes to the best other network, ties in `ALL_NETWORKS` order
+  (`best_other`).
 
-It reuses `substream_seed`, `perf_at`, `decide_game` and
-`decide_baseline`, which have oracles of their own.
+It reuses `substream_seed` and `perf_at`, which have oracles of their own.
 """
 
 import random
@@ -40,7 +45,6 @@ from hetsim.domain import (
 )
 from hetsim.engine import CycleRecord, substream_seed
 from hetsim.netmodel import perf_at
-from hetsim.strategy import decide_baseline, decide_game
 
 DSRC = NetworkKind.DSRC
 #: The windows as the docs state them: the sender count spans three cycles,
@@ -70,6 +74,98 @@ def score(metrics, penalty):
 def prior(profile):
     """What a network with nothing to measure scores from: its base load."""
     return perf_at(profile, 1)
+
+
+def p_overload(x: int, n_exp: int, rho: float) -> float:
+    """Switch probability for a DSRC terminal seeing x > n_exp senders.
+
+    Grows with the excess and saturates at rho, so the expected outflow
+    tracks the overload without ever emptying DSRC in a single cycle.
+    """
+    if x <= n_exp:
+        raise ValueError(f"overload branch requires x > n_exp, got x={x}, n_exp={n_exp}")
+    return rho * (x - n_exp + 1) / (x + 1)
+
+
+def p_degraded(c: int, x: int, sigma: float) -> float:
+    """Switch probability after c consecutive failing cycles, seeing x senders.
+
+    With x terminals each applying this, the expected number of switchers
+    per cycle is sigma*c (until the clamp bites). x=0 is a blackout with
+    no population estimate; the per-terminal probability then degenerates
+    to min(sigma*c, 1).
+    """
+    if c < 0:
+        raise ValueError(f"counter must be >= 0, got {c}")
+    if x < 1:
+        return min(sigma * c, 1.0)
+    return min(sigma * c / x, 1.0)
+
+
+def p_return(x: int, x_prime: int, n_exp: int, rho: float) -> float:
+    """Probability that a non-DSRC terminal moves back to DSRC.
+
+    Proportional to DSRC's remaining headroom and inversely to the
+    population of the current network, clamped into [0, rho]. Negative
+    raw values (x already past n_exp) clamp to 0.
+    """
+    if x < 0 or x_prime < 0:
+        raise ValueError(f"sender counts must be >= 0, got x={x}, x_prime={x_prime}")
+    raw = rho * (n_exp - x) / (x_prime + 1)
+    return min(max(raw, 0.0), rho)
+
+
+def update_counter(c: int, met: bool) -> int:
+    """Degradation counter dynamics: +1 on a failing cycle, halved on a good one."""
+    if c < 0:
+        raise ValueError(f"counter must be >= 0, got {c}")
+    return c // 2 if met else c + 1
+
+
+def best_other(evals, exclude=None):
+    """The highest-scoring network but `exclude`; `max` keeps the first of
+    equal scores, so ties go to the ALL_NETWORKS order."""
+    return max((net for net in ALL_NETWORKS if net is not exclude),
+               key=lambda net: evals[net].score)
+
+
+def best_keeping(evals, current):
+    """The highest-scoring of all three networks; a tie keeps `current`."""
+    best = best_other(evals, current)
+    return best if evals[best].score > evals[current].score else current
+
+
+def play_game(current, x_dsrc, x_current, evals, c, params, rng):
+    """One play of the game: (target, or None to stay, and the new counter).
+
+    A DSRC terminal first draws for overload relief, then checks DSRC's
+    requirements; a terminal elsewhere first draws for a return to a
+    healthy DSRC with headroom, then checks its own network. A lost draw
+    falls through to the requirement check, which updates the counter and,
+    on a failing cycle, draws for degradation.
+    """
+    dsrc_meets = evals[DSRC].meets_requirements
+    if current is DSRC:
+        if x_dsrc > params.n_exp and rng.random() < p_overload(x_dsrc, params.n_exp,
+                                                                params.rho):
+            return best_other(evals, DSRC), c
+        x, met = x_dsrc, dsrc_meets
+    else:
+        if dsrc_meets and x_dsrc < params.n_exp and rng.random() < p_return(
+                x_dsrc, x_current, params.n_exp, params.rho):
+            return DSRC, c
+        x, met = x_current, evals[current].meets_requirements
+    c = update_counter(c, met)
+    if not met and rng.random() < p_degraded(c, x, params.sigma):
+        return best_other(evals, current), c
+    return None, c
+
+
+def play_baseline(current, evals, c):
+    """The argmax over all three networks, ties keeping the current one.
+    The counter is left as it is."""
+    best = best_keeping(evals, current)
+    return (None if best is current else best), c
 
 
 class WindowLedger:
@@ -153,13 +249,12 @@ def reference_run(cfg: ScenarioConfig) -> list[CycleRecord]:
                 x_dsrc = max(0, x_dsrc + noise)
             score_sum += evals[current].score
             if cfg.strategy_kind is StrategyKind.GAME:
-                decision = decide_game(current, x_dsrc, x_current, evals, counters[i],
-                                       cfg.strategy, rng)
+                target, counters[i] = play_game(current, x_dsrc, x_current, evals,
+                                                counters[i], cfg.strategy, rng)
             else:
-                decision = decide_baseline(current, evals, counters[i])
-            counters[i] = decision.new_counter_c
-            if decision.target is not None:
-                attachment[i] = decision.target
+                target, counters[i] = play_baseline(current, evals, counters[i])
+            if target is not None:
+                attachment[i] = target
                 handoffs += 1
 
         records.append(CycleRecord(

@@ -11,6 +11,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from reference import p_degraded, p_overload, p_return, update_counter
 
 from hetsim.cli import main
 from hetsim.domain import (
@@ -29,7 +30,6 @@ from hetsim.domain import (
 from hetsim.engine import predict_equilibrium_shift, run_scenario
 from hetsim.evaluation import evaluate_network, ground_truth_eval
 from hetsim.report import detect_convergence, render_csv
-from hetsim.strategy import p_degraded, p_overload, p_return, update_counter
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 N_SEEDS = 100

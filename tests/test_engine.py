@@ -6,7 +6,7 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
-from reference import WindowLedger
+from reference import WindowLedger, p_degraded, p_overload, p_return, update_counter
 
 from hetsim import engine
 from hetsim.evaluation import best_network, evaluate_network, ground_truth_eval, select_best
@@ -30,7 +30,7 @@ from hetsim.engine import (
 from hetsim.netmodel import perf_at
 from hetsim.report import render_csv
 from hetsim.sensing import ReceptionLedger
-from hetsim.strategy import Decision, Trigger, p_degraded, p_overload, p_return, update_counter
+from hetsim.strategy import Decision, Trigger
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 

@@ -5,6 +5,10 @@ behind. Every use of a bound name, annotations included, is an `ast.Name`,
 and a name listed in `__all__` counts as used: the package root imports only
 to export.
 `benchmarks/` is left out, so that a change to the benchmark alone cannot fail it.
+
+`tests/reference.py` writes the scoring and the decision rules itself, so
+it imports nothing from `hetsim.evaluation` or `hetsim.strategy`: reference
+equality could not see a fault in a rule the reference borrowed.
 """
 
 import ast
@@ -14,6 +18,8 @@ import pytest
 
 TESTS = Path(__file__).resolve().parent
 MODULES = sorted((TESTS.parent / "src" / "hetsim").glob("*.py")) + sorted(TESTS.glob("*.py"))
+#: The program modules whose rules the reference states in its own code.
+RULE_MODULES = ("hetsim.evaluation", "hetsim.strategy")
 
 
 def unused_imports(source: str) -> list[str]:
@@ -45,3 +51,34 @@ def test_checker_sees_dead_and_annotation_only_imports():
 @pytest.mark.parametrize("module", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(module):
     assert unused_imports(module.read_text(encoding="utf-8")) == []
+
+
+def imports_from(source: str, modules) -> list[str]:
+    """The names of `modules` (or of names inside them) that `source` imports."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names = [node.module] + [f"{node.module}.{a.name}" for a in node.names]
+        else:
+            continue
+        found.update(name for name in names for m in modules
+                     if name == m or name.startswith(m + "."))
+    return sorted(found)
+
+
+def test_checker_sees_every_form_of_a_rule_import():
+    assert imports_from("from hetsim.strategy import decide_game\n", RULE_MODULES) == \
+        ["hetsim.strategy", "hetsim.strategy.decide_game"]
+    assert imports_from("import hetsim.evaluation as ev\n", RULE_MODULES) == \
+        ["hetsim.evaluation"]
+    assert imports_from("def f():\n    from hetsim import domain, strategy\n",
+                        RULE_MODULES) == ["hetsim.strategy"]
+    assert imports_from("from hetsim.domain import DSRC\nimport hetsim.engine\n"
+                        "from hetsim.strategies import x\n", RULE_MODULES) == []
+
+
+def test_reference_states_the_rules_itself():
+    assert imports_from((TESTS / "reference.py").read_text(encoding="utf-8"),
+                        RULE_MODULES) == []

@@ -28,7 +28,7 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
-from reference import reference_run  # noqa: E402
+from reference import best_keeping, best_other, reference_run  # noqa: E402
 
 from hetsim.cli import main  # noqa: E402
 from hetsim.domain import (  # noqa: E402
@@ -382,24 +382,14 @@ def tied_scores(draw):
     return [draw(st.sampled_from(pool)) for _ in ALL_NETWORKS]
 
 
-def max_best_network(evals, exclude=None):
-    return max((net for net in ALL_NETWORKS if net is not exclude),
-               key=lambda net: evals[net].score)
-
-
-def max_select_best(evals, current):
-    best = max_best_network(evals, exclude=current)
-    return best if evals[best].score > evals[current].score else current
-
-
 @CHECKS
 @given(tied_scores(), st.lists(st.booleans(), min_size=3, max_size=3))
 def test_argmax_matches_max_definitions(scores, flags):
-    # The argmax as max() over ALL_NETWORKS with a score key, first maximum
-    # kept, for every excluded and every current network.
+    # The reference's argmax, max() over ALL_NETWORKS with a score key and
+    # the first maximum kept, for every excluded and every current network.
     evals = {net: NetEvaluation(score, flag)
              for net, score, flag in zip(ALL_NETWORKS, scores, flags)}
     for exclude in (None, *ALL_NETWORKS):
-        assert best_network(evals, exclude) is max_best_network(evals, exclude)
+        assert best_network(evals, exclude) is best_other(evals, exclude)
     for current in ALL_NETWORKS:
-        assert select_best(evals, current) is max_select_best(evals, current)
+        assert select_best(evals, current) is best_keeping(evals, current)

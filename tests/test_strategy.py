@@ -1,20 +1,13 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from reference import p_degraded, p_overload, p_return, update_counter
 
 from hetsim.domain import ALL_NETWORKS, NetworkKind, StrategyParams
 from hetsim.evaluation import NetEvaluation
-from hetsim.strategy import (
-    Decision,
-    Trigger,
-    decide_baseline,
-    decide_game,
-    p_degraded,
-    p_overload,
-    p_return,
-    update_counter,
-)
+from hetsim.strategy import Decision, Trigger, decide_baseline, decide_game
 
 PARAMS = StrategyParams(n_exp=30, rho=0.5, sigma=0.5)
 
@@ -251,6 +244,83 @@ def test_game_decision_never_targets_current():
 
 
 DSRC, LTE, WIFI = ALL_NETWORKS
+
+
+def play(v, params, *draws):
+    """decide_game's (target, counter, trigger), after checking that it took
+    exactly the scripted draws."""
+    rng = StubRng(*draws)
+    d = decide_game(*v, params, rng)
+    assert rng.values == []
+    return tuple(d)
+
+
+def at_and_below(p):
+    """A draw equal to p loses (False); the float just below it wins (True)."""
+    return [(p, False)] + ([(math.nextafter(p, 0.0), True)] if p > 0 else [])
+
+
+def test_inlined_formulas_match_reference_bit_for_bit():
+    # Acceptance criterion 1's grids, with the blackout x = 0 added for
+    # degradation. Scores make the best network but DSRC Wi-Fi, and the best
+    # but LTE DSRC, so each target names the network it excludes.
+    ev = evals(d=0.9, l=0.4, w=0.6)
+    cases = 0
+    for x in (31, 32, 40, 49, 100, 999):
+        for n_exp in (10, 30):
+            for rho in (0.5, 0.25, 0.9, 0.0):
+                if x <= n_exp:
+                    continue
+                params = StrategyParams(n_exp=n_exp, rho=rho, sigma=0.5)
+                v = view(x_dsrc=x, ev=ev, c=6)
+                for draw, wins in at_and_below(p_overload(x, n_exp, rho)):
+                    # A lost draw falls through to DSRC's met requirements.
+                    assert play(v, params, draw) == (
+                        (WIFI, 6, Trigger.OVERLOAD) if wins else (None, 3, Trigger.NONE))
+                    cases += 1
+
+    for x in (0, 10, 29, 30, 35):
+        for x_prime in (0, 9, 19, 40):
+            for rho in (0.5, 0.25, 0.9):
+                params = StrategyParams(n_exp=30, rho=rho, sigma=0.5)
+                v = view(current=LTE, x_dsrc=x, x_current=x_prime, ev=ev, c=6)
+                if x >= params.n_exp:  # no headroom: no return draw
+                    assert play(v, params) == (None, 3, Trigger.NONE)
+                    cases += 1
+                    continue
+                for draw, wins in at_and_below(p_return(x, x_prime, 30, rho)):
+                    assert play(v, params, draw) == (
+                        (DSRC, 6, Trigger.RETURN_TO_DSRC) if wins else (None, 3, Trigger.NONE))
+                    cases += 1
+
+    for c in (0, 1, 2, 10, 100):
+        for x in (0, 1, 3, 30, 200):
+            for sigma in (0.5, 0.2, 1.0):
+                # DSRC reads its own count below the overload gate; elsewhere,
+                # with DSRC failing, the current network's count.
+                params = StrategyParams(n_exp=200, rho=0.5, sigma=sigma)
+                p = p_degraded(update_counter(c, met=False), x, sigma)
+                for v, target in ((view(x_dsrc=x, dsrc_meets=False, ev=ev, c=c), WIFI),
+                                  (view(current=LTE, x_dsrc=5, x_current=x, dsrc_meets=False,
+                                        current_meets=False, ev=ev, c=c), DSRC)):
+                    for draw, wins in at_and_below(p):
+                        assert play(v, params, draw) == (
+                            target if wins else None, c + 1,
+                            Trigger.DEGRADATION if wins else Trigger.NONE)
+                        cases += 1
+
+    for c in range(25):
+        for met in (True, False):
+            expected = update_counter(c, met)
+            assert expected == (c // 2 if met else c + 1)
+            for v in (view(x_dsrc=20, dsrc_meets=met, ev=ev, c=c),
+                      view(current=LTE, x_dsrc=30, x_current=5, current_meets=met, ev=ev,
+                           c=c)):
+                # A met cycle takes no draw; a failing one loses its draw of 1.0.
+                assert play(v, PARAMS, *([] if met else [1.0])) == (
+                    None, expected, Trigger.NONE)
+                cases += 1
+    assert cases == 580
 
 
 @pytest.mark.parametrize("decide, expected", [
