@@ -31,17 +31,10 @@ from .domain import (
     load_scenario,
     validate_config,
 )
-from .engine import predict_equilibrium_shift, run_scenario
-from .evaluation import ground_truth_eval, meets_requirements
+from .engine import run_scenario
+from .evaluation import ground_truth_eval, meets_requirements, predict_equilibrium_shift
 from .netmodel import perf_at
-from .report import (
-    RunSummary,
-    compare,
-    format_comparison,
-    format_summary,
-    summarize,
-    write_csv,
-)
+from .report import RunSummary, format_comparison, format_summary, summarize, write_csv
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -155,7 +148,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     outs = _output_paths(args, [f"_{kind.value}" for kind in kinds])
     game, baseline = (_run(dataclasses.replace(cfg, strategy_kind=kind), out)
                       for kind, out in zip(kinds, outs))
-    print(format_comparison(compare(game, baseline)))
+    print(format_comparison(game, baseline))
     return EXIT_OK
 
 

@@ -160,6 +160,13 @@ def validate_config(cfg: ScenarioConfig) -> list[str]:
         ("total_terminals", n >= 1, "be >= 1", n),
         ("initial_assignment", assigned == n, f"sum to total_terminals {_shown(n)}", assigned),
         *((f"initial_assignment.{net.value}", c >= 0, "be >= 0", c) for net, c in counts.items()),
+        # The engine reads only these keys and compares the enums by identity.
+        *((name, key in ALL_NETWORKS, "be keyed by dsrc, lte or wifi", key)
+          for name in ("initial_assignment", "profiles") for key in getattr(cfg, name)),
+        ("strategy_kind", isinstance(cfg.strategy_kind, StrategyKind), "be a StrategyKind",
+         cfg.strategy_kind),
+        ("measurement_mode", isinstance(cfg.measurement_mode, MeasurementMode),
+         "be a MeasurementMode", cfg.measurement_mode),
         ("num_cycles", 1 <= cycles <= FLOAT_MAX, f"be in [1, {FLOAT_MAX}]", cycles),
         ("noise_amplitude", noise >= 0, "be >= 0", noise),
         ("noise_amplitude", noise <= 0 or n + noise <= FLOAT_MAX,
@@ -198,7 +205,9 @@ def validate_config(cfg: ScenarioConfig) -> list[str]:
                 unrunnable.append(f"disturbance.delta_e {_shown(d.delta_e)} overflows "
                                   f"the run's score sums on {net.value}")
     if d is not None:
-        rules += [("disturbance.delta_e", d.delta_e > 0, "be > 0", d.delta_e),
+        rules += [("disturbance.network", isinstance(d.network, NetworkKind), "be a NetworkKind",
+                   d.network),
+                  ("disturbance.delta_e", d.delta_e > 0, "be > 0", d.delta_e),
                   ("disturbance.start_cycle", 0 <= d.start_cycle < cycles,
                    f"be in [0, {_shown(cycles)})", d.start_cycle),
                   ("disturbance.duration_cycles", d.duration_cycles is None

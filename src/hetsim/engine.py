@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable
 
 from .domain import (
     ALL_NETWORKS,
@@ -34,8 +33,8 @@ from .domain import (
     validate_config,
 )
 from .evaluation import evaluate_network
-from .netmodel import perf_at, sample_link
-from .sensing import ReceptionLedger, perceive
+from .netmodel import perf_at
+from .sensing import ReceptionLedger, perceive, sample_link
 from .strategy import decide_baseline, decide_game
 
 _MASK64 = 2**64 - 1
@@ -178,21 +177,3 @@ def run_scenario(cfg: ScenarioConfig) -> list[CycleRecord]:
         state, record = run_cycle(state, cfg)
         records.append(record)
     return records
-
-
-def predict_equilibrium_shift(f_a: Callable[[int], float],
-                              f_b: Callable[[int], float],
-                              g: int, h: int, delta_e: float) -> int:
-    """How many terminals must move off a disturbed network to restore balance.
-
-    Both networks start balanced with g terminals on A and h on B; A's
-    evaluation then drops by delta_e. Moving s terminals raises A's
-    evaluation by f_a(g-s) - f_a(g) and lowers B's by f_b(h) - f_b(h+s);
-    balance returns where the two effects absorb the disturbance. Returns
-    the integer s in [0, g] with the smallest absolute residual (ties go
-    to the smaller s).
-    """
-    if g < 0 or h < 0:
-        raise ValueError(f"populations must be >= 0, got g={g}, h={h}")
-    return min(range(g + 1),
-               key=lambda s: abs(f_a(g - s) - f_a(g) + f_b(h) - f_b(h + s) - delta_e))

@@ -1,4 +1,4 @@
-"""Weighted scoring, requirement checking, and argmax selection.
+"""Weighted scoring, requirement checking, argmax selection, and the equilibrium oracle.
 
 Each raw metric maps to a dimensionless utility by linear normalization
 against its maximum-acceptable reference (a metric exactly at its
@@ -15,7 +15,7 @@ on.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .domain import (ALL_NETWORKS, F_DELAY_REF, F_JIT_REF, F_PLR_REF, W_DELAY, W_JIT, W_PLR,
                      NetworkKind)
@@ -68,6 +68,24 @@ def evaluate_network(metrics: tuple[float, float, float],
 def ground_truth_eval(profile: NetworkProfile, n: int) -> float:
     """Noise-free score of the network at load n, from its ground-truth curve."""
     return evaluate_network(perf_at(profile, n)).score
+
+
+def predict_equilibrium_shift(f_a: Callable[[int], float],
+                              f_b: Callable[[int], float],
+                              g: int, h: int, delta_e: float) -> int:
+    """How many terminals must move off a disturbed network to restore balance.
+
+    Both networks start balanced with g terminals on A and h on B; A's
+    evaluation then drops by delta_e. Moving s terminals raises A's
+    evaluation by f_a(g-s) - f_a(g) and lowers B's by f_b(h) - f_b(h+s);
+    balance returns where the two effects absorb the disturbance. Returns
+    the integer s in [0, g] with the smallest absolute residual (ties go
+    to the smaller s).
+    """
+    if g < 0 or h < 0:
+        raise ValueError(f"populations must be >= 0, got g={g}, h={h}")
+    return min(range(g + 1),
+               key=lambda s: abs(f_a(g - s) - f_a(g) + f_b(h) - f_b(h + s) - delta_e))
 
 
 def best_network(evals: dict[NetworkKind, NetEvaluation],

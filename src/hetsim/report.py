@@ -40,17 +40,6 @@ class RunSummary:
     mean_counts: dict[NetworkKind, float]
 
 
-@dataclass(frozen=True)
-class ComparisonSummary:
-    """Game-vs-baseline comparison over the same scenario."""
-
-    game: RunSummary
-    baseline: RunSummary
-    handoff_rate_ratio: float
-    game_per_terminal_prob: float
-    baseline_per_terminal_prob: float
-
-
 def detect_convergence(handoffs_series: list[int], threshold: int = DEFAULT_THRESHOLD,
                        window: int = DEFAULT_WINDOW) -> int | None:
     """First cycle from which handoffs stay <= threshold for `window` cycles."""
@@ -110,22 +99,6 @@ def write_csv(records: list[CycleRecord], destination: str | Path) -> None:
         fh.write(render_csv(records))
 
 
-def compare(game: RunSummary, baseline: RunSummary) -> ComparisonSummary:
-    """Relate the game run to the baseline run of the same scenario."""
-    total = sum(game.mean_counts.values())
-    if baseline.pingpong_index > 0:
-        ratio = game.pingpong_index / baseline.pingpong_index
-    else:
-        ratio = 1.0 if game.pingpong_index == 0 else float("inf")
-    return ComparisonSummary(
-        game=game,
-        baseline=baseline,
-        handoff_rate_ratio=ratio,
-        game_per_terminal_prob=game.pingpong_index / total,
-        baseline_per_terminal_prob=baseline.pingpong_index / total,
-    )
-
-
 def _converged(cycle: int | None) -> str:
     return "never" if cycle is None else f"cycle {cycle}"
 
@@ -142,11 +115,18 @@ def format_summary(summary: RunSummary) -> str:
     ])
 
 
-def format_comparison(cmp: ComparisonSummary) -> str:
-    lines = [f"handoff rate ratio (game/baseline): {cmp.handoff_rate_ratio:.4f}"]
-    for label, run, prob in (("game:    ", cmp.game, cmp.game_per_terminal_prob),
-                             ("baseline:", cmp.baseline, cmp.baseline_per_terminal_prob)):
-        lines.append(f"{label} {run.pingpong_index:.4f} handoffs/cycle ({prob:.4f} per "
-                     f"terminal), total {run.total_handoffs}, "
-                     f"converged {_converged(run.converged_at_cycle)}")
+def format_comparison(game: RunSummary, baseline: RunSummary) -> str:
+    """The game run against the baseline run of the same scenario: their handoff
+    rate ratio (1 when neither hands off, inf when only the game does), then per
+    run its handoffs per cycle, also per terminal."""
+    if baseline.pingpong_index > 0:
+        ratio = game.pingpong_index / baseline.pingpong_index
+    else:
+        ratio = 1.0 if game.pingpong_index == 0 else float("inf")
+    total = sum(game.mean_counts.values())
+    lines = [f"handoff rate ratio (game/baseline): {ratio:.4f}"]
+    for label, run in (("game:    ", game), ("baseline:", baseline)):
+        lines.append(f"{label} {run.pingpong_index:.4f} handoffs/cycle "
+                     f"({run.pingpong_index / total:.4f} per terminal), total "
+                     f"{run.total_handoffs}, converged {_converged(run.converged_at_cycle)}")
     return "\n".join(lines)

@@ -1,4 +1,4 @@
-"""Per-terminal reception bookkeeping and the broadcast-derived link metrics.
+"""Link sampling, per-terminal reception bookkeeping and the broadcast-derived link metrics.
 
 Every terminal keeps, per network, a ring of heard-sender bitmasks, one per
 cycle of the trailing second, oldest first (a window's sender population is
@@ -19,6 +19,13 @@ When the two delay slots do not hold the data for all three metrics yet,
 `measure` returns None and the caller falls back to its prior. `perceive`, the
 engine's one call into the ledgers, is a sampled cycle's first pass: every
 receiver hears, measures and releases before any terminal decides.
+
+Per-link outcomes (delivered or lost, and with what delay) are sampled from
+the ground-truth curves, but not every sampled measurement agrees with them
+in expectation. The mean delay does, except where the d0 floor binds. The
+jitter, a sender's |U1 - U2| for two draws from U(-j, j), is 2j/3 of the
+curve's j without the floor and less with it, and the loss estimate reads
+~1.07-1.09x the curve's plr (table2_step at its starting loads).
 """
 
 from __future__ import annotations
@@ -27,13 +34,45 @@ from collections import deque
 from functools import reduce
 from math import fsum, inf
 from operator import or_
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .domain import ALL_NETWORKS, CYCLE_S, DSRC, NetworkKind
-from .netmodel import LOST
 
 #: Loss-estimate window, in cycles: the trailing second.
 LOSS_WINDOW_CYCLES = round(1 / CYCLE_S)
+
+
+class LinkSample(NamedTuple):
+    """Outcome of one broadcast link: heard or lost."""
+
+    delivered: bool
+
+
+# Every link shares one of two results, so none is built per packet.
+HEARD = LinkSample(True)
+LOST = LinkSample(False)
+
+
+def sample_link(link: tuple[int, int, float, float, float, float, float],
+                random: Callable[[], float], gen_time: float,
+                slots: tuple[dict[int, float], ...]) -> LinkSample:
+    """Sample one link: (sender, slot_index, d0, delay, plr, low, width).
+
+    Delivery succeeds with probability 1 - plr, drawn by the receiver's
+    `random`; only a delivered packet draws its jitter, uniform on
+    [low, low + width) around the mean delay (low = -jitter, width = jitter
+    + jitter), and its delay is never below the base delay d0. A delivered
+    packet sets `slots[slot_index][sender]` to its reception time minus
+    `gen_time`, as a receiver computes it: that round trip shifts the last bits.
+    """
+    sender, slot_index, d0, delay, plr, low, width = link
+    if random() < plr:
+        return LOST
+    # low + width * random() is rng.uniform(-jitter, jitter), and the floor is
+    # max(observed, d0): the same draw and float without two calls per packet.
+    observed = delay + (low + width * random())
+    slots[slot_index][sender] = (gen_time + (d0 if d0 > observed else observed)) - gen_time
+    return HEARD
 
 
 class ReceptionLedger:

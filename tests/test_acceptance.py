@@ -27,8 +27,8 @@ from hetsim.domain import (
     StrategyKind,
     load_scenario,
 )
-from hetsim.engine import predict_equilibrium_shift, run_scenario
-from hetsim.evaluation import evaluate_network, ground_truth_eval
+from hetsim.engine import run_scenario
+from hetsim.evaluation import evaluate_network, ground_truth_eval, predict_equilibrium_shift
 from hetsim.report import detect_convergence, render_csv
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"

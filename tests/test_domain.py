@@ -211,6 +211,12 @@ def wifi_disturbance(**fields):
         network=NetworkKind.WIFI, delta_e=0.1, **fields))
 
 
+def stray_5g_key(name):
+    """A config whose `name` dict also holds a "5g" entry, which no run reads."""
+    return lambda cfg: dataclasses.replace(cfg, **{
+        name: {**getattr(cfg, name), "5g": getattr(cfg, name)[NetworkKind.DSRC]}})
+
+
 @pytest.mark.parametrize("mutate, violation", [
     (lambda c: dataclasses.replace(c, total_terminals=0, initial_assignment={
         net: 0 for net in ALL_NETWORKS}), "total_terminals must be >= 1, got 0"),
@@ -236,6 +242,18 @@ def wifi_disturbance(**fields):
     (wifi_disturbance(start_cycle=-1), "disturbance.start_cycle must be in [0, 150), got -1"),
     (wifi_disturbance(start_cycle=5, duration_cycles=0),
      "disturbance.duration_cycles must be >= 1 or null, got 0"),
+    # Plain strings where the engine compares enum members by identity: the run
+    # would play the baseline, run direct, or apply no disturbance at all.
+    (lambda c: dataclasses.replace(c, strategy_kind="game"),
+     "strategy_kind must be a StrategyKind, got 'game'"),
+    (lambda c: dataclasses.replace(c, measurement_mode="sampled"),
+     "measurement_mode must be a MeasurementMode, got 'sampled'"),
+    (lambda c: dataclasses.replace(c, disturbance=DisturbanceSpec(
+        network="5g", delta_e=0.1, start_cycle=5)),
+     "disturbance.network must be a NetworkKind, got '5g'"),
+    (stray_5g_key("initial_assignment"),
+     "initial_assignment must be keyed by dsrc, lte or wifi, got '5g'"),
+    (stray_5g_key("profiles"), "profiles must be keyed by dsrc, lte or wifi, got '5g'"),
 ])
 def test_each_violation_named_alone(mutate, violation):
     assert validate_config(mutate(table2_step())) == [violation]

@@ -9,7 +9,13 @@ import pytest
 from reference import WindowLedger, p_degraded, p_overload, p_return, update_counter
 
 from hetsim import engine
-from hetsim.evaluation import best_network, evaluate_network, ground_truth_eval, select_best
+from hetsim.evaluation import (
+    best_network,
+    evaluate_network,
+    ground_truth_eval,
+    predict_equilibrium_shift,
+    select_best,
+)
 from hetsim.domain import (
     ALL_NETWORKS,
     DisturbanceSpec,
@@ -20,13 +26,7 @@ from hetsim.domain import (
     load_scenario,
     validate_config,
 )
-from hetsim.engine import (
-    init_state,
-    predict_equilibrium_shift,
-    run_cycle,
-    run_scenario,
-    substream_seed,
-)
+from hetsim.engine import init_state, run_cycle, run_scenario, substream_seed
 from hetsim.netmodel import perf_at
 from hetsim.report import render_csv
 from hetsim.sensing import ReceptionLedger

@@ -6,18 +6,25 @@ and a name listed in `__all__` counts as used: the package root imports only
 to export.
 `benchmarks/` is left out, so that a change to the benchmark alone cannot fail it.
 
+The package uses only the standard library (`pyproject.toml` lists no
+dependency): every import in `src/hetsim` names a module of
+`sys.stdlib_module_names` or, relatively, one of the package's own, so a
+stray import fails here even where that package happens to be installed.
+
 `tests/reference.py` writes the scoring and the decision rules itself, so
 it imports nothing from `hetsim.evaluation` or `hetsim.strategy`: reference
 equality could not see a fault in a rule the reference borrowed.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
 
 TESTS = Path(__file__).resolve().parent
-MODULES = sorted((TESTS.parent / "src" / "hetsim").glob("*.py")) + sorted(TESTS.glob("*.py"))
+PACKAGE = sorted((TESTS.parent / "src" / "hetsim").glob("*.py"))
+MODULES = PACKAGE + sorted(TESTS.glob("*.py"))
 #: The program modules whose rules the reference states in its own code.
 RULE_MODULES = ("hetsim.evaluation", "hetsim.strategy")
 
@@ -51,6 +58,32 @@ def test_checker_sees_dead_and_annotation_only_imports():
 @pytest.mark.parametrize("module", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(module):
     assert unused_imports(module.read_text(encoding="utf-8")) == []
+
+
+def non_stdlib_imports(source: str) -> list[str]:
+    """The top-level names outside the standard library that `source` imports
+    absolutely; a relative import is the package's own."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(a.name.partition(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            found.add(node.module.partition(".")[0])
+    return sorted(found - sys.stdlib_module_names)
+
+
+def test_checker_sees_a_non_stdlib_import():
+    assert non_stdlib_imports("import numpy\n") == ["numpy"]
+    assert non_stdlib_imports("from __future__ import annotations\nimport os.path\n"
+                              "from .domain import DSRC\nfrom . import engine\n"
+                              "def f():\n    from numpy.random import default_rng\n"
+                              "    import hetsim\n") == ["hetsim", "numpy"]
+
+
+def test_package_uses_only_the_standard_library():
+    found = {module.name: non_stdlib_imports(module.read_text(encoding="utf-8"))
+             for module in PACKAGE}
+    assert {name: names for name, names in found.items() if names} == {}
 
 
 def imports_from(source: str, modules) -> list[str]:

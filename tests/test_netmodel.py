@@ -5,7 +5,8 @@ from reference import score
 
 from hetsim.domain import CYCLE_S
 from hetsim.evaluation import ground_truth_eval
-from hetsim.netmodel import HEARD, LOST, LinkSample, NetworkProfile, perf_at, sample_link
+from hetsim.netmodel import NetworkProfile, perf_at
+from hetsim.sensing import HEARD, LOST, LinkSample, sample_link
 
 #: A generation time whose round trip moves the last bits of most delays.
 GEN_TIME = 37 * CYCLE_S
@@ -77,6 +78,8 @@ def test_ground_truth_eval_halfway():
     p = profile(d0=0.05, a=0.0, p0=0.025, b=0.0, g0=0.05, h=0.0)
     assert ground_truth_eval(p, 1) == pytest.approx(0.5, abs=1e-12)
 
+
+# --- sensing.sample_link: one broadcast link drawn from these curves ----------
 
 def link(p, curve, sender, slot_index=0):
     """The engine's packed link: (sender, slot_index, d0, delay, plr, -jitter,

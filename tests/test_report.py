@@ -8,8 +8,8 @@ from hetsim.domain import ALL_NETWORKS, MeasurementMode, NetworkKind, load_scena
 from hetsim.engine import CycleRecord, run_scenario
 from hetsim.report import (
     CSV_COLUMNS,
-    compare,
     detect_convergence,
+    format_comparison,
     render_csv,
     summarize,
     write_csv,
@@ -180,18 +180,32 @@ def test_compare_example():
     game = dataclasses.replace(game, pingpong_index=0.8)
     baseline = dataclasses.replace(game, pingpong_index=25.0,
                                    converged_at_cycle=None)
-    result = compare(game, baseline)
-    assert result.handoff_rate_ratio == pytest.approx(0.032)
-    assert result.game_per_terminal_prob == pytest.approx(0.016)
-    assert result.game.converged_at_cycle is not None
-    assert result.baseline.converged_at_cycle is None
+    assert format_comparison(game, baseline).splitlines() == [
+        "handoff rate ratio (game/baseline): 0.0320",
+        "game:     0.8000 handoffs/cycle (0.0160 per terminal), total 30, converged cycle 0",
+        "baseline: 25.0000 handoffs/cycle (0.5000 per terminal), total 30, converged never",
+    ]
 
 
 def test_compare_identical_summaries():
     summary = summarize(from_handoffs([2] * 20))
-    assert compare(summary, summary).handoff_rate_ratio == 1.0
+    assert format_comparison(summary, summary).splitlines()[0] == \
+        "handoff rate ratio (game/baseline): 1.0000"
 
 
 def test_compare_zero_baseline_quiet_game():
     quiet = summarize(from_handoffs([0, 0, 0]))
-    assert compare(quiet, quiet).handoff_rate_ratio == 1.0
+    assert format_comparison(quiet, quiet).splitlines() == [
+        "handoff rate ratio (game/baseline): 1.0000",
+        "game:     0.0000 handoffs/cycle (0.0000 per terminal), total 0, converged never",
+        "baseline: 0.0000 handoffs/cycle (0.0000 per terminal), total 0, converged never",
+    ]
+
+
+def test_compare_zero_baseline_busy_game():
+    busy, quiet = summarize(from_handoffs([2] * 20)), summarize(from_handoffs([0, 0, 0]))
+    assert format_comparison(busy, quiet).splitlines() == [
+        "handoff rate ratio (game/baseline): inf",
+        "game:     2.0000 handoffs/cycle (0.0400 per terminal), total 40, converged never",
+        "baseline: 0.0000 handoffs/cycle (0.0000 per terminal), total 0, converged never",
+    ]
