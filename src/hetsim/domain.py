@@ -8,6 +8,7 @@ checks and loading of the scenario JSON document.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -134,6 +135,15 @@ class ScenarioFormatError(ValueError):
     """Raised when a scenario document is structurally malformed."""
 
 
+def _is_int(value: Any) -> bool:
+    """Whether a value may stand in an int field: an int, and not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+#: A dataclass's resolved field types: the schema of the loader and the validator.
+_hints = functools.cache(typing.get_type_hints)
+
+
 def _violation(path: str, rule: str, value: Any) -> str:
     """A broken rule, named by the field's dotted path in the scenario document."""
     return f"{path} must {rule}, got {_shown(value)}"
@@ -145,12 +155,20 @@ def validate_config(cfg: ScenarioConfig) -> list[str]:
     A NaN or infinite number is named alone: while the config holds one, the
     list names only its non-finite values (NaN fails every comparison, ±inf
     one side of a range), and the other checks judge it once they are fixed.
-    Violations are data, not failures: the function never raises for a
-    well-typed config, and identical inputs yield identical lists.
+    Next, and alone in the same way, a value other than an int in an int field
+    (a float or a bool, which the loader refuses, in a config built in code; a
+    run would crash on it or misread it). Violations are data, not failures:
+    the function never raises for a well-typed config, and identical inputs
+    yield identical lists.
     """
-    non_finite = [_violation(path, "be finite", val) for path, val in _non_finite(cfg, "")]
+    fields = list(_fields(cfg, "", ScenarioConfig))
+    non_finite = [_violation(path, "be finite", val) for path, val in _non_finite(fields)]
     if non_finite:
         return non_finite
+    not_int = [_violation(path, "be an integer", val) for path, val, tp in fields
+               if (tp is int or tp == int | None and val is not None) and not _is_int(val)]
+    if not_int:
+        return not_int
     n, cycles, noise, s, d = (cfg.total_terminals, cfg.num_cycles, cfg.noise_amplitude,
                               cfg.strategy, cfg.disturbance)
     counts = {net: cfg.initial_assignment.get(net, 0) for net in ALL_NETWORKS}
@@ -248,7 +266,7 @@ def _from_json(tp: Any, value: Any, path: str) -> Any:
                    and f.default_factory is dataclasses.MISSING}
         if missing:
             raise ScenarioFormatError(f"{where}: missing keys {sorted(missing)}")
-        hints = typing.get_type_hints(tp)
+        hints = _hints(tp)
         return tp(**{key: _from_json(hints[key], item, f"{path}.{key}" if path else key)
                      for key, item in value.items()})
     if issubclass(tp, Enum):
@@ -258,7 +276,7 @@ def _from_json(tp: Any, value: Any, path: str) -> Any:
             raise ScenarioFormatError(f"{path}: expected one of "
                                       f"{[m.value for m in tp]}, got {_shown(value)}") from None
     if tp is int:
-        if isinstance(value, bool) or not isinstance(value, int):
+        if not _is_int(value):
             raise ScenarioFormatError(f"{path}: expected an integer, got {_shown(value)}")
         return value
     if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -267,20 +285,30 @@ def _from_json(tp: Any, value: Any, path: str) -> Any:
     return float(value) if -FLOAT_MAX <= value <= FLOAT_MAX else value
 
 
-def _non_finite(value: Any, path: str, tp: Any = None) -> Iterator[tuple[str, float]]:
-    """(dotted path, value) of every NaN or infinite float in a config, read through
-    its dataclasses and dicts; an int beyond the float range in a float field is ±inf."""
+def _fields(value: Any, path: str, tp: Any) -> Iterator[tuple[str, Any, Any]]:
+    """(dotted path, value, declared type) of every field of a config that holds
+    neither a dataclass nor a dict, read through its dataclasses and dicts."""
     if dataclasses.is_dataclass(value):
-        for f in dataclasses.fields(value):  # f.type is "float", as annotations are postponed
-            yield from _non_finite(getattr(value, f.name),
-                                   f"{path}.{f.name}" if path else f.name, f.type)
+        hints = _hints(type(value))
+        for f in dataclasses.fields(value):
+            yield from _fields(getattr(value, f.name), f"{path}.{f.name}" if path else f.name,
+                               hints[f.name])
     elif isinstance(value, dict):
+        item_tp = typing.get_args(tp)[1]
         for key, item in value.items():  # a library caller may key by the plain string
-            yield from _non_finite(item, f"{path}.{getattr(key, 'value', key)}")
-    elif isinstance(value, float) and not math.isfinite(value):
-        yield path, value
-    elif tp == "float" and isinstance(value, int) and abs(value) > FLOAT_MAX:
-        yield path, math.inf if value > 0 else -math.inf
+            yield from _fields(item, f"{path}.{getattr(key, 'value', key)}", item_tp)
+    else:
+        yield path, value, tp
+
+
+def _non_finite(fields: list[tuple[str, Any, Any]]) -> Iterator[tuple[str, float]]:
+    """(dotted path, value) of every NaN or infinite float among a config's fields;
+    an int beyond the float range in a float field is ±inf."""
+    for path, value, tp in fields:
+        if isinstance(value, float) and not math.isfinite(value):
+            yield path, value
+        elif tp is float and isinstance(value, int) and abs(value) > FLOAT_MAX:
+            yield path, math.inf if value > 0 else -math.inf
 
 
 def scenario_from_dict(data: Any) -> ScenarioConfig:

@@ -64,9 +64,13 @@ class Decision(NamedTuple):
 # Bound once: a member read costs ~10x a global read on CPython 3.11.
 NONE, OVERLOAD, DEGRADATION, RETURN_TO_DSRC, ARGMAX = (
     Trigger.NONE, Trigger.OVERLOAD, Trigger.DEGRADATION, Trigger.RETURN_TO_DSRC, Trigger.ARGMAX)
-# Decision(...) runs NamedTuple's Python-level __new__; the stay-put result,
-# which most decisions return, is built directly.
+# Decision(...) runs NamedTuple's Python-level __new__. Most decisions stay put
+# with a small counter, so _STAY[c] is the stay with counter c, built once here
+# and shared (a Decision is immutable); a stay with a counter outside
+# [0, _STAY_END) is built directly, without the constructor.
 _new = tuple.__new__
+_STAY_END = 64
+_STAY = tuple(_new(Decision, (None, c, NONE)) for c in range(_STAY_END))
 
 
 def decide_game(current: NetworkKind, x_dsrc: int, x_current: int,
@@ -98,12 +102,13 @@ def decide_game(current: NetworkKind, x_dsrc: int, x_current: int,
         x, met = x_current, evals[current].meets_requirements
 
     if met:
-        return _new(Decision, (None, c // 2, NONE))
+        c //= 2
+        return _STAY[c] if 0 <= c < _STAY_END else _new(Decision, (None, c, NONE))
     c += 1
     sigma = params.sigma
     if rng.random() < min(sigma * c / x if x > 0 else sigma * c, 1.0):
         return Decision(best_network(evals, exclude=current), c, DEGRADATION)
-    return _new(Decision, (None, c, NONE))
+    return _STAY[c] if 0 <= c < _STAY_END else _new(Decision, (None, c, NONE))
 
 
 def decide_baseline(current: NetworkKind, evals: dict[NetworkKind, NetEvaluation],
@@ -111,5 +116,6 @@ def decide_baseline(current: NetworkKind, evals: dict[NetworkKind, NetEvaluation
     """Single-play score chaser: jump to the argmax network (ARGMAX), no randomness."""
     best = select_best(evals, current)
     if best is current:
-        return _new(Decision, (None, counter_c, NONE))
+        c = counter_c
+        return _STAY[c] if 0 <= c < _STAY_END else _new(Decision, (None, c, NONE))
     return Decision(best, counter_c, ARGMAX)

@@ -254,6 +254,25 @@ def stray_5g_key(name):
     (stray_5g_key("initial_assignment"),
      "initial_assignment must be keyed by dsrc, lte or wifi, got '5g'"),
     (stray_5g_key("profiles"), "profiles must be keyed by dsrc, lte or wifi, got '5g'"),
+    # A float or a bool in an int field, which the loader refuses: the run would
+    # crash on it (noise_amplitude, num_cycles, seed) or silently read it.
+    (lambda c: replace_at(c, "total_terminals", 50.0),
+     "total_terminals must be an integer, got 50.0"),
+    (lambda c: replace_at(c, "initial_assignment.dsrc", 10.0),
+     "initial_assignment.dsrc must be an integer, got 10.0"),
+    (lambda c: replace_at(c, "num_cycles", 3.5), "num_cycles must be an integer, got 3.5"),
+    (lambda c: replace_at(c, "noise_amplitude", 1.5),
+     "noise_amplitude must be an integer, got 1.5"),
+    (lambda c: replace_at(c, "noise_amplitude", True),
+     "noise_amplitude must be an integer, got True"),
+    (lambda c: replace_at(c, "seed", 4.5), "seed must be an integer, got 4.5"),
+    (lambda c: replace_at(c, "strategy.n_exp", 30.5),
+     "strategy.n_exp must be an integer, got 30.5"),
+    (lambda c: replace_at(c, "profiles.lte.cap", 60.0),
+     "profiles.lte.cap must be an integer, got 60.0"),
+    (wifi_disturbance(start_cycle=5.0), "disturbance.start_cycle must be an integer, got 5.0"),
+    (wifi_disturbance(start_cycle=5, duration_cycles=3.0),
+     "disturbance.duration_cycles must be an integer, got 3.0"),
 ])
 def test_each_violation_named_alone(mutate, violation):
     assert validate_config(mutate(table2_step())) == [violation]
@@ -277,6 +296,10 @@ def test_each_violation_named_alone(mutate, violation):
                   "profiles.lte.p0 must be in [0, 1), got 1.5",
                   "profiles.wifi.cap must be >= 1, got 0"],
                  id="profile_invariants_checked"),
+    # A non-integer is named alone, as a non-finite number is; the out-of-range
+    # sigma is judged once it is fixed.
+    pytest.param(lambda c: replace_at(replace_at(c, "num_cycles", 3.5), "strategy.sigma", 2.0),
+                 ["num_cycles must be an integer, got 3.5"], id="non_integer_named_before_others"),
 ])
 def test_violations_listed_exactly(mutate, violations):
     assert validate_config(mutate(table2_step())) == violations

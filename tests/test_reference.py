@@ -72,3 +72,19 @@ def test_random_configs_match_reference(seed):
     cfg = random_config(random.Random(seed))
     assert validate_config(cfg) == []
     assert run_scenario(cfg) == reference_run(cfg)
+
+
+@pytest.mark.parametrize("mode", list(MeasurementMode), ids=lambda m: m.value)
+def test_counters_past_the_stay_table_match_reference(mode):
+    # Every network fails its requirements and sigma is small, so terminals
+    # stay for long runs of failing cycles and their counters climb well past
+    # the shared stay-put table (past 100 in both modes). sigma must not be 0:
+    # the counter would then never change a record.
+    base = load_scenario(SCENARIOS / "table2_step.json")
+    cfg = dataclasses.replace(
+        base, measurement_mode=mode, num_cycles=150,
+        strategy=dataclasses.replace(base.strategy, sigma=0.01),
+        profiles={net: dataclasses.replace(p, d0=p.d0 * 20, g0=p.g0 * 20)
+                  for net, p in base.profiles.items()})
+    assert validate_config(cfg) == []
+    assert run_scenario(cfg) == reference_run(cfg)

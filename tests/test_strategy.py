@@ -7,7 +7,7 @@ from reference import p_degraded, p_overload, p_return, update_counter
 
 from hetsim.domain import ALL_NETWORKS, NetworkKind, StrategyParams
 from hetsim.evaluation import NetEvaluation
-from hetsim.strategy import Decision, Trigger, decide_baseline, decide_game
+from hetsim.strategy import _STAY_END, Decision, Trigger, decide_baseline, decide_game
 
 PARAMS = StrategyParams(n_exp=30, rho=0.5, sigma=0.5)
 
@@ -347,11 +347,38 @@ def test_inlined_formulas_match_reference_bit_for_bit():
 ], ids=["overload", "return", "degradation", "lost_overload", "lost_return",
         "lost_degradation", "quiet", "baseline_stay", "baseline_switch"])
 def test_every_decision_path_returns_a_decision(decide, expected):
-    # The stay-put result is built without Decision's constructor; each path
-    # must still give a Decision with its fields in their declared order.
+    # A stay-put result comes from a table built at import, or past the table
+    # without Decision's constructor; each path must still give a Decision with
+    # its fields in their declared order.
     d = decide()
     assert type(d) is Decision
     assert (d.target, d.new_counter_c, d.trigger) == expected
+
+
+STAY_PATHS = {
+    # A met cycle halves the counter and takes no draw.
+    "met": lambda c: decide_game(*view(x_dsrc=20, c=2 * c), PARAMS, StubRng()),
+    # A failing cycle adds one to it and loses its degradation draw of 1.0.
+    "failing": lambda c: decide_game(*view(x_dsrc=20, dsrc_meets=False, c=c - 1), PARAMS,
+                                     StubRng(1.0)),
+    # The baseline on its argmax network keeps it.
+    "baseline": lambda c: decide_baseline(DSRC, evals(d=0.9), c),
+}
+
+
+@pytest.mark.parametrize("c", [-1, 0, _STAY_END - 1, _STAY_END, _STAY_END + 1],
+                         ids=["negative", "first", "last", "at_end", "past_end"])
+@pytest.mark.parametrize("path", list(STAY_PATHS))
+def test_stay_put_table_edge(path, c):
+    # A stay with its new counter c in [0, _STAY_END) is the one shared object
+    # the table holds for c; any other counter builds its own. Either way the
+    # result is an exact Decision.
+    first, second = STAY_PATHS[path](c), STAY_PATHS[path](c)
+    assert type(first) is Decision
+    assert tuple(first) == (None, c, Trigger.NONE)
+    assert second == first
+    if 0 <= c < _STAY_END:  # a refactor that builds stays again fails here
+        assert second is first
 
 
 # --- baseline decisions ------------------------------------------------------
