@@ -135,11 +135,6 @@ class ScenarioFormatError(ValueError):
     """Raised when a scenario document is structurally malformed."""
 
 
-def _is_int(value: Any) -> bool:
-    """Whether a value may stand in an int field: an int, and not a bool."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 #: A dataclass's resolved field types: the schema of the loader and the validator.
 _hints = functools.cache(typing.get_type_hints)
 
@@ -152,23 +147,17 @@ def _violation(path: str, rule: str, value: Any) -> str:
 def validate_config(cfg: ScenarioConfig) -> list[str]:
     """Return the config's invariant violations (empty list if valid).
 
-    A NaN or infinite number is named alone: while the config holds one, the
-    list names only its non-finite values (NaN fails every comparison, ±inf
-    one side of a range), and the other checks judge it once they are fixed.
-    Next, and alone in the same way, a value other than an int in an int field
-    (a float or a bool, which the loader refuses, in a config built in code; a
-    run would crash on it or misread it). Violations are data, not failures:
-    the function never raises for a well-typed config, and identical inputs
-    yield identical lists.
+    Every field is first judged by its declared type. A value the type does not
+    admit (a string, a bool, None, a float in an int field, a dict where a
+    dataclass is declared) and a NaN or infinite number are named alone: while
+    the config holds one, the list names every such value and nothing else (NaN
+    fails every comparison, ±inf one side of a range), and the other checks
+    judge the config once they are fixed. Violations are data, not failures:
+    the function never raises, and identical inputs yield identical lists.
     """
-    fields = list(_fields(cfg, "", ScenarioConfig))
-    non_finite = [_violation(path, "be finite", val) for path, val in _non_finite(fields)]
-    if non_finite:
-        return non_finite
-    not_int = [_violation(path, "be an integer", val) for path, val, tp in fields
-               if (tp is int or tp == int | None and val is not None) and not _is_int(val)]
-    if not_int:
-        return not_int
+    wrong = list(_type_faults(cfg, "", ScenarioConfig))
+    if wrong:
+        return wrong
     n, cycles, noise, s, d = (cfg.total_terminals, cfg.num_cycles, cfg.noise_amplitude,
                               cfg.strategy, cfg.disturbance)
     counts = {net: cfg.initial_assignment.get(net, 0) for net in ALL_NETWORKS}
@@ -178,13 +167,9 @@ def validate_config(cfg: ScenarioConfig) -> list[str]:
         ("total_terminals", n >= 1, "be >= 1", n),
         ("initial_assignment", assigned == n, f"sum to total_terminals {_shown(n)}", assigned),
         *((f"initial_assignment.{net.value}", c >= 0, "be >= 0", c) for net, c in counts.items()),
-        # The engine reads only these keys and compares the enums by identity.
+        # The engine reads only these keys.
         *((name, key in ALL_NETWORKS, "be keyed by dsrc, lte or wifi", key)
           for name in ("initial_assignment", "profiles") for key in getattr(cfg, name)),
-        ("strategy_kind", isinstance(cfg.strategy_kind, StrategyKind), "be a StrategyKind",
-         cfg.strategy_kind),
-        ("measurement_mode", isinstance(cfg.measurement_mode, MeasurementMode),
-         "be a MeasurementMode", cfg.measurement_mode),
         ("num_cycles", 1 <= cycles <= FLOAT_MAX, f"be in [1, {FLOAT_MAX}]", cycles),
         ("noise_amplitude", noise >= 0, "be >= 0", noise),
         ("noise_amplitude", noise <= 0 or n + noise <= FLOAT_MAX,
@@ -223,9 +208,7 @@ def validate_config(cfg: ScenarioConfig) -> list[str]:
                 unrunnable.append(f"disturbance.delta_e {_shown(d.delta_e)} overflows "
                                   f"the run's score sums on {net.value}")
     if d is not None:
-        rules += [("disturbance.network", isinstance(d.network, NetworkKind), "be a NetworkKind",
-                   d.network),
-                  ("disturbance.delta_e", d.delta_e > 0, "be > 0", d.delta_e),
+        rules += [("disturbance.delta_e", d.delta_e > 0, "be > 0", d.delta_e),
                   ("disturbance.start_cycle", 0 <= d.start_cycle < cycles,
                    f"be in [0, {_shown(cycles)})", d.start_cycle),
                   ("disturbance.duration_cycles", d.duration_cycles is None
@@ -238,7 +221,8 @@ def validate_config(cfg: ScenarioConfig) -> list[str]:
 #
 # The scenario document mirrors the dataclasses with snake_case keys, so the
 # dataclass fields and their type hints are the whole schema. The loader checks
-# shape only (types, keys, enums; unknown or repeated keys fail loudly at every level).
+# the document's shape (objects, enum values; unknown, missing or repeated keys
+# fail loudly at every level), and validate_config judges every value by its type.
 # ---------------------------------------------------------------------------
 
 def _from_json(tp: Any, value: Any, path: str) -> Any:
@@ -275,40 +259,46 @@ def _from_json(tp: Any, value: Any, path: str) -> Any:
         except ValueError:
             raise ScenarioFormatError(f"{path}: expected one of "
                                       f"{[m.value for m in tp]}, got {_shown(value)}") from None
+    # validate_config judges every other value; a finite int in a float field
+    # becomes the float a run computes with.
+    return float(value) if tp is float and type(value) is int and abs(value) <= FLOAT_MAX else value
+
+
+@functools.cache
+def _kind(tp: Any) -> tuple[tuple[type, ...], str]:
+    """The types a declared type admits (an int or a float for float, never a
+    bool), and their name in a violation."""
+    if isinstance(tp, types.UnionType):  # `X | None`
+        admits, name = _kind(next(arg for arg in typing.get_args(tp) if arg is not type(None)))
+        return (*admits, type(None)), name
+    if tp is float:
+        return (int, float), "a number"
     if tp is int:
-        if not _is_int(value):
-            raise ScenarioFormatError(f"{path}: expected an integer, got {_shown(value)}")
-        return value
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ScenarioFormatError(f"{path}: expected a number, got {_shown(value)}")
-    # NaN, ±inf or an int beyond the float range passes as is: validate_config names it.
-    return float(value) if -FLOAT_MAX <= value <= FLOAT_MAX else value
+        return (int,), "an integer"
+    origin = typing.get_origin(tp) or tp  # dict[K, V] admits a dict
+    return (origin,), f"a {origin.__name__}"
 
 
-def _fields(value: Any, path: str, tp: Any) -> Iterator[tuple[str, Any, Any]]:
-    """(dotted path, value, declared type) of every field of a config that holds
-    neither a dataclass nor a dict, read through its dataclasses and dicts."""
-    if dataclasses.is_dataclass(value):
+def _type_faults(value: Any, path: str, tp: Any) -> Iterator[str]:
+    """A violation for every field of a config, read through the dataclasses and
+    dicts it declares, whose value its declared type does not admit or is not
+    finite; an int beyond the float range in a float field is ±inf."""
+    admits, name = _kind(tp)
+    if isinstance(value, admits) and dataclasses.is_dataclass(value):
         hints = _hints(type(value))
         for f in dataclasses.fields(value):
-            yield from _fields(getattr(value, f.name), f"{path}.{f.name}" if path else f.name,
-                               hints[f.name])
-    elif isinstance(value, dict):
+            yield from _type_faults(getattr(value, f.name),
+                                    f"{path}.{f.name}" if path else f.name, hints[f.name])
+    elif isinstance(value, dict) and dict in admits:
         item_tp = typing.get_args(tp)[1]
         for key, item in value.items():  # a library caller may key by the plain string
-            yield from _fields(item, f"{path}.{getattr(key, 'value', key)}", item_tp)
-    else:
-        yield path, value, tp
-
-
-def _non_finite(fields: list[tuple[str, Any, Any]]) -> Iterator[tuple[str, float]]:
-    """(dotted path, value) of every NaN or infinite float among a config's fields;
-    an int beyond the float range in a float field is ±inf."""
-    for path, value, tp in fields:
-        if isinstance(value, float) and not math.isfinite(value):
-            yield path, value
-        elif tp is float and isinstance(value, int) and abs(value) > FLOAT_MAX:
-            yield path, math.inf if value > 0 else -math.inf
+            yield from _type_faults(item, f"{path}.{getattr(key, 'value', key)}", item_tp)
+    elif float in admits and isinstance(value, int) and abs(value) > FLOAT_MAX:
+        yield _violation(path, "be finite", math.inf if value > 0 else -math.inf)
+    elif isinstance(value, float) and not math.isfinite(value):
+        yield _violation(path, "be finite", value)
+    elif isinstance(value, bool) or not isinstance(value, admits):
+        yield _violation(path, f"be {name}", value)
 
 
 def scenario_from_dict(data: Any) -> ScenarioConfig:

@@ -403,6 +403,19 @@ def test_oracle_prints_prediction(capsys):
     assert "simulated steady shift:" in printed
 
 
+def test_oracle_prints_int_delta_e_as_the_float_it_runs(tmp_path, capsys):
+    # The loader turns a finite int in a float field into a float, so a file
+    # that writes "delta_e": 1 prints the same bytes as one that writes 1.0.
+    printed = []
+    for value in (1, 1.0):
+        path = mutated_scenario(tmp_path, f"{value}.json",
+                                lambda d: d["disturbance"].update(delta_e=value), base=LINEAR)
+        assert main(["oracle", path]) == 0
+        printed.append(capsys.readouterr().out)
+    assert printed[0] == printed[1]
+    assert "delta_e=1.0)" in printed[0]
+
+
 def test_oracle_refuses_run_shorter_than_tail_past_disturbance(capsys):
     # linear_delta_e's disturbance starts at cycle 30; the 30-cycle tail of a
     # 31-cycle run would average 29 cycles from before it.

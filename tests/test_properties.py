@@ -8,8 +8,10 @@ reference property runs sampled mode for 11-20 cycles with moderate
 curves, long enough for the trailing-second loss window to slide. The
 scenario-document property feeds whole scenario documents, each a shipped
 one with one value replaced, through the command line, and the output
-property feeds `-o` strings built from path parts. The argmax property
-draws score triples instead.
+property feeds `-o` strings built from path parts. The wrong-kind property
+puts a value of another kind in one number field of a drawn config and
+checks that the config and the same value in a scenario file get the same
+violations. The argmax property draws score triples instead.
 """
 
 import dataclasses
@@ -373,6 +375,55 @@ def test_every_violation_opens_with_its_field_path(cfg):
     for violation in validate_config(cfg):
         path = re.match(r"[\w.]+", violation).group()
         assert path in FIELD_PATHS and violation[len(path)] in " :", violation
+
+
+def _at(doc, path):
+    """The value at a key path of a parsed document."""
+    for part in path:
+        doc = doc[part]
+    return doc
+
+
+def _replaced(obj, path, value):
+    """A copy of a config with the value at a key path replaced."""
+    if not path:
+        return value
+    head, *rest = path
+    if isinstance(obj, dict):
+        return {**obj, head: _replaced(obj[head], rest, value)}
+    return dataclasses.replace(obj, **{head: _replaced(getattr(obj, head), rest, value)})
+
+
+def _scenario_text(cfg):
+    """A config written as a scenario document; enum members write as their values."""
+    return json.dumps(dataclasses.asdict(cfg), default=lambda member: member.value)
+
+
+#: Values of a kind no number field admits, small enough to write as JSON.
+OTHER_KINDS = st.one_of(st.text(max_size=3), st.booleans(), st.none(),
+                        st.lists(st.integers(-9, 9), max_size=2),
+                        st.dictionaries(st.text(max_size=2), st.integers(-9, 9), max_size=2))
+
+
+@CHECKS
+@given(configs(), st.data())
+def test_wrong_kind_named_alike_in_code_and_file(cfg, data):
+    # One number field takes a value of another kind (a float, of any size or
+    # NaN, in an int field too): validation names that field alone, and the same
+    # value written into the scenario file loads and gets the identical list.
+    doc = json.loads(_scenario_text(cfg))
+    path = data.draw(st.sampled_from(
+        [p for p in _paths(doc) if type(_at(doc, p)) in (int, float)]))
+    kinds = OTHER_KINDS | st.floats() if type(_at(doc, path)) is int else OTHER_KINDS
+    if path == ("disturbance", "duration_cycles"):  # declared int | None
+        kinds = kinds.filter(lambda value: value is not None)
+    bad = _replaced(cfg, path, data.draw(kinds))
+    violations = validate_config(bad)
+    assert len(violations) == 1 and violations[0].startswith(f"{'.'.join(path)} must be ")
+    with tempfile.TemporaryDirectory() as tmp:
+        scenario = Path(tmp, "scenario.json")
+        scenario.write_text(_scenario_text(bad), encoding="utf-8")
+        assert validate_config(load_scenario(scenario)) == violations
 
 
 @st.composite
