@@ -9,7 +9,9 @@ from the ground-truth curves. A network with nothing to measure scores
 from the optimistic base-load prior perf_at(profile, 1), which the engine
 supplies. Decide: each terminal scores its perception, decides and moves.
 A move touches only the mover's own slot, so terminals never observe each
-other's same-cycle moves.
+other's same-cycle moves. The post-cycle counts start as a copy of the
+pre-cycle ones and follow the moves: each handoff takes one from the
+mover's network and adds one to its target.
 
 A world exists only for a valid config: `init_state` refuses one with
 `validate_config` violations. Randomness is confined to per-terminal
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .domain import (
     ALL_NETWORKS,
@@ -38,6 +41,11 @@ from .sensing import ReceptionLedger, perceive, sample_link
 from .strategy import decide_baseline, decide_game
 
 _MASK64 = 2**64 - 1
+# The penalty of every cycle without an active disturbance; never written.
+_NO_PENALTY = {net: 0.0 for net in ALL_NETWORKS}
+# CycleRecord(...) runs NamedTuple's Python-level __new__; run_cycle builds
+# its record directly.
+_new = tuple.__new__
 
 
 def substream_seed(master_seed: int, index: int) -> int:
@@ -60,8 +68,7 @@ class WorldState:
     ledgers: list[ReceptionLedger] | None = None
 
 
-@dataclass(frozen=True)
-class CycleRecord:
+class CycleRecord(NamedTuple):
     """Observables of one cycle: post-decision counts plus population truth."""
 
     cycle: int
@@ -98,18 +105,19 @@ def run_cycle(state: WorldState, cfg: ScenarioConfig) -> tuple[WorldState, Cycle
     counts_pre = state.counts
     # (delay, plr, jitter) at the pre-decision loads; every phase below reads it.
     curves = {net: perf_at(profiles[net], counts_pre[net]) for net in ALL_NETWORKS}
-    penalty = {net: 0.0 for net in ALL_NETWORKS}
+    penalty = _NO_PENALTY
     if cfg.disturbance is not None and cfg.disturbance.active_at(t):
-        penalty[cfg.disturbance.network] = cfg.disturbance.delta_e
+        penalty = {**_NO_PENALTY, cfg.disturbance.network: cfg.disturbance.delta_e}
 
-    # Perceive: per terminal (evals, x_dsrc, x_current).
+    # Perceive: per terminal (evals, x_dsrc, x_current, the score of its own network).
     if state.ledgers is None:
         # An empty network has no one to measure, so it scores from the prior.
         shared_evals = {net: evaluate_network(curves[net] if counts_pre[net]
                                               else perf_at(profiles[net], 1), penalty[net])
                         for net in ALL_NETWORKS}
         # Read by each terminal's pre-move network; x_dsrc counts an attached terminal.
-        by_network = {net: (shared_evals, counts_pre[DSRC], counts_pre[net] - 1)
+        by_network = {net: (shared_evals, counts_pre[DSRC], counts_pre[net] - 1,
+                            shared_evals[net].score)
                       for net in ALL_NETWORKS}
         views = map(by_network.__getitem__, attachment)
     else:
@@ -118,9 +126,11 @@ def run_cycle(state: WorldState, cfg: ScenarioConfig) -> tuple[WorldState, Cycle
         # sample_link is read per call, not at import: the benchmark's tracer replaces it.
         perceived = perceive(state.ledgers, attachment, curves, profiles, rngs, t * CYCLE_S,
                              sample_link)
-        views = [({net: evaluate_network(m or prior[net], penalty[net])
-                   for net, m in zip(ALL_NETWORKS, measures)}, x_dsrc, x_current)
-                 for measures, x_dsrc, x_current in perceived]
+        views = []
+        for (measures, x_dsrc, x_current), current in zip(perceived, attachment):
+            evals = {net: evaluate_network(m or prior[net], penalty[net])
+                     for net, m in zip(ALL_NETWORKS, measures)}
+            views.append((evals, x_dsrc, x_current, evals[current].score))
 
     # Decide: each terminal reads its own view and moves only itself.
     game = cfg.strategy_kind is StrategyKind.GAME
@@ -129,9 +139,10 @@ def run_cycle(state: WorldState, cfg: ScenarioConfig) -> tuple[WorldState, Cycle
     # 3.10-3.13 draw it: getrandbits(k) redrawn until it falls below width.
     width = 2 * noise + 1
     k = width.bit_length()
+    counts_post = counts_pre.copy()
     handoffs = 0
     score_sum = 0.0
-    for i, (evals, x_dsrc, x_current) in enumerate(views):
+    for i, (evals, x_dsrc, x_current, own_score) in enumerate(views):
         rng = rngs[i]
         current = attachment[i]
         if noise:
@@ -141,7 +152,7 @@ def run_cycle(state: WorldState, cfg: ScenarioConfig) -> tuple[WorldState, Cycle
             x_dsrc += r - noise
             if x_dsrc < 0:
                 x_dsrc = 0
-        score_sum += evals[current].score
+        score_sum += own_score
         c = counters[i]
         target, counters[i], _ = (
             decide_game(current, x_dsrc, x_current, evals, c, params, rng)
@@ -149,22 +160,19 @@ def run_cycle(state: WorldState, cfg: ScenarioConfig) -> tuple[WorldState, Cycle
         if target is not None:
             assert target is not current
             attachment[i] = target
+            counts_post[current] -= 1
+            counts_post[target] += 1
             handoffs += 1
 
-    counts_post = {net: attachment.count(net) for net in ALL_NETWORKS}
     state.counts = counts_post
     if sum(counts_post.values()) != n_terminals:
         raise AssertionError("terminal conservation violated")
 
-    record = CycleRecord(
-        cycle=t,
-        counts=counts_post,
-        handoffs=handoffs,
-        avg_score=score_sum / n_terminals,
-        net_score={net: evaluate_network(curves[net], penalty[net]).score
-                   for net in ALL_NETWORKS},
-        net_perf=curves,
-    )
+    # Positional, in CycleRecord's field order.
+    record = _new(CycleRecord, (
+        t, counts_post, handoffs, score_sum / n_terminals,
+        {net: evaluate_network(curves[net], penalty[net]).score for net in ALL_NETWORKS},
+        curves))
     state.cycle = t + 1
     return state, record
 

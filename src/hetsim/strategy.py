@@ -64,10 +64,11 @@ class Decision(NamedTuple):
 # Bound once: a member read costs ~10x a global read on CPython 3.11.
 NONE, OVERLOAD, DEGRADATION, RETURN_TO_DSRC, ARGMAX = (
     Trigger.NONE, Trigger.OVERLOAD, Trigger.DEGRADATION, Trigger.RETURN_TO_DSRC, Trigger.ARGMAX)
-# Decision(...) runs NamedTuple's Python-level __new__. Most decisions stay put
-# with a small counter, so _STAY[c] is the stay with counter c, built once here
-# and shared (a Decision is immutable); a stay with a counter outside
-# [0, _STAY_END) is built directly, without the constructor.
+# Decision(...) runs NamedTuple's Python-level __new__, so every decision is
+# built directly, as _new(Decision, (target, c, trigger)). Most decisions stay
+# put with a small counter, so _STAY[c] is the stay with counter c, built once
+# here and shared (a Decision is immutable); a stay with a counter outside
+# [0, _STAY_END) is built directly.
 _new = tuple.__new__
 _STAY_END = 64
 _STAY = tuple(_new(Decision, (None, c, NONE)) for c in range(_STAY_END))
@@ -92,13 +93,13 @@ def decide_game(current: NetworkKind, x_dsrc: int, x_current: int,
 
     if current is DSRC:
         if x_dsrc > n_exp and rng.random() < params.rho * (x_dsrc - n_exp + 1) / (x_dsrc + 1):
-            return Decision(best_network(evals, exclude=DSRC), c, OVERLOAD)
+            return _new(Decision, (best_network(evals, exclude=DSRC), c, OVERLOAD))
         x, met = x_dsrc, dsrc_meets
     else:
         if dsrc_meets and x_dsrc < n_exp:
             rho = params.rho
             if rng.random() < min(rho * (n_exp - x_dsrc) / (x_current + 1), rho):
-                return Decision(DSRC, c, RETURN_TO_DSRC)
+                return _new(Decision, (DSRC, c, RETURN_TO_DSRC))
         x, met = x_current, evals[current].meets_requirements
 
     if met:
@@ -107,7 +108,7 @@ def decide_game(current: NetworkKind, x_dsrc: int, x_current: int,
     c += 1
     sigma = params.sigma
     if rng.random() < min(sigma * c / x if x > 0 else sigma * c, 1.0):
-        return Decision(best_network(evals, exclude=current), c, DEGRADATION)
+        return _new(Decision, (best_network(evals, exclude=current), c, DEGRADATION))
     return _STAY[c] if 0 <= c < _STAY_END else _new(Decision, (None, c, NONE))
 
 
@@ -118,4 +119,4 @@ def decide_baseline(current: NetworkKind, evals: dict[NetworkKind, NetEvaluation
     if best is current:
         c = counter_c
         return _STAY[c] if 0 <= c < _STAY_END else _new(Decision, (None, c, NONE))
-    return Decision(best, counter_c, ARGMAX)
+    return _new(Decision, (best, counter_c, ARGMAX))

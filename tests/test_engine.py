@@ -64,6 +64,34 @@ def test_conservation_every_cycle():
             assert sum(record.counts.values()) == 50
 
 
+def assert_counts_match_attachment(cfg):
+    # The engine keeps its counts by adding up the moves; a recount of the
+    # attachment after every cycle sees a move the sum check cannot (one that
+    # updates the wrong network, or none).
+    state = init_state(cfg)
+    handoffs = 0
+    for _ in range(cfg.num_cycles):
+        state, record = run_cycle(state, cfg)
+        recount = {net: state.attachment.count(net) for net in ALL_NETWORKS}
+        assert state.counts == recount
+        assert record.counts == recount
+        handoffs += record.handoffs
+    assert handoffs > 0
+
+
+@pytest.mark.parametrize("kind", list(StrategyKind), ids=lambda k: k.value)
+@pytest.mark.parametrize("mode", list(MeasurementMode), ids=lambda m: m.value)
+def test_counts_match_attachment_every_cycle(mode, kind):
+    assert_counts_match_attachment(step_cfg(num_cycles=40, measurement_mode=mode,
+                                            strategy_kind=kind))
+
+
+@pytest.mark.parametrize("mode", list(MeasurementMode), ids=lambda m: m.value)
+def test_counts_match_attachment_under_disturbance_and_noise(mode):
+    cfg = load_scenario(SCENARIOS / "table2_disturbance.json")
+    assert_counts_match_attachment(dataclasses.replace(cfg, measurement_mode=mode))
+
+
 def test_cycle_zero_baseline_moves_terminals():
     cfg = step_cfg(num_cycles=1, strategy_kind=StrategyKind.BASELINE_MCDM,
                    measurement_mode=MeasurementMode.DIRECT)
@@ -415,6 +443,21 @@ def test_disturbance_expiry_restores_scores():
     clean = run_scenario(base)
     assert state_scores[4] == pytest.approx(
         clean[4].net_score[NetworkKind.LTE], abs=1e-12)
+
+
+def test_disturbed_run_leaves_no_penalty_for_the_next():
+    # Cycles without an active disturbance share one zero-penalty map; a
+    # disturbed run before must leave it untouched for every later run.
+    disturbed = load_scenario(SCENARIOS / "linear_delta_e.json")
+    assert disturbed.disturbance.active_at(disturbed.num_cycles - 1)
+    run_scenario(disturbed)
+    cfg = step_cfg(measurement_mode=MeasurementMode.DIRECT)
+    counts = cfg.initial_assignment
+    for record in run_scenario(cfg):
+        for net in ALL_NETWORKS:
+            assert record.net_score[net] == evaluate_network(
+                perf_at(cfg.profiles[net], counts[net])).score
+        counts = record.counts
 
 
 # --- equilibrium oracle -------------------------------------------------------

@@ -141,6 +141,25 @@ def test_csv_one_record_two_lines(tmp_path):
     assert lines[1].startswith("0,0.000000,30,10,10,3,0.500000,")
 
 
+def test_cycle_record_fields_keywords_and_immutability():
+    # The engine builds records positionally; the library builds them by keyword.
+    assert CycleRecord._fields == ("cycle", "counts", "handoffs", "avg_score",
+                                   "net_score", "net_perf")
+    counts = dict(zip(ALL_NETWORKS, (12, 19, 19)))
+    net_score = dict(zip(ALL_NETWORKS, (0.25, -0.125, 0.5)))
+    net_perf = dict(zip(ALL_NETWORKS, ((0.01, 0.02, 0.003), (0.04, 0.05, 0.006),
+                                       (0.07, 0.08, 0.009))))
+    by_keyword = CycleRecord(cycle=7, counts=counts, handoffs=4, avg_score=0.375,
+                             net_score=net_score, net_perf=net_perf)
+    by_position = CycleRecord(7, counts, 4, 0.375, net_score, net_perf)
+    assert by_keyword == by_position
+    assert render_csv([by_keyword]).encode() == render_csv([by_position]).encode()
+    with pytest.raises(AttributeError):
+        by_keyword.handoffs = 5
+    assert by_keyword._replace(handoffs=5).handoffs == 5
+    assert by_keyword.handoffs == 4
+
+
 def test_csv_byte_identical_for_identical_run(tmp_path):
     cfg = dataclasses.replace(load_scenario(SCENARIOS / "table2_step.json"),
                               num_cycles=25)

@@ -381,6 +381,35 @@ def test_stay_put_table_edge(path, c):
         assert second is first
 
 
+SWITCH_PATHS = {
+    # Each switch leaves with new counter c. Overload: p_overload(40, 30, 0.5) ~= 0.134 > 0.05.
+    Trigger.OVERLOAD: lambda c: (
+        decide_game(*view(x_dsrc=40, ev=evals(d=0.9, l=0.6, w=0.4), c=c), PARAMS,
+                    StubRng(0.05)), LTE),
+    # Return: p_return(10, 19, 30, 0.5) = 0.5 > 0.3.
+    Trigger.RETURN_TO_DSRC: lambda c: (
+        decide_game(*view(current=LTE, x_dsrc=10, x_current=19, c=c), PARAMS,
+                    StubRng(0.3)), DSRC),
+    # Degradation adds one to the counter, after a lost overload draw.
+    Trigger.DEGRADATION: lambda c: (
+        decide_game(*view(x_dsrc=40, dsrc_meets=False, c=c - 1, ev=evals(l=0.2, w=0.9)),
+                    PARAMS, StubRng(0.9, 0.0)), WIFI),
+    Trigger.ARGMAX: lambda c: (decide_baseline(DSRC, evals(d=0.5, l=0.7, w=0.6), c), LTE),
+}
+
+
+@pytest.mark.parametrize("c", [1, _STAY_END - 1, _STAY_END + 1],
+                         ids=["small", "last_stay", "past_stays"])
+@pytest.mark.parametrize("trigger", list(SWITCH_PATHS), ids=lambda t: t.value)
+def test_switch_decision_is_exact(trigger, c):
+    # A switch is built without Decision's constructor; it must still be an
+    # exact Decision, fields in their declared order, whatever its counter.
+    d, target = SWITCH_PATHS[trigger](c)
+    assert type(d) is Decision
+    assert (d.target, d.new_counter_c, d.trigger) == (target, c, trigger)
+    assert tuple(d) == (target, c, trigger)
+
+
 # --- baseline decisions ------------------------------------------------------
 
 def test_baseline_switches_to_argmax():
