@@ -4,9 +4,9 @@ It runs the cycle as the docs state it, with none of the engine's hot-path
 idioms:
 
 * sender-major delivery over every ordered (sender, receiver) pair, each
-  link drawn from the receiver's stream: the loss draw, then, for a
-  delivered packet, `rng.uniform(-jitter, jitter)` around the mean delay,
-  floored at d0 by `max`;
+  link drawn from the receiver's stream by `reference_sample_link`: the
+  loss draw, then, for a delivered packet, `rng.uniform(-jitter, jitter)`
+  around the mean delay, floored at d0 by `max`;
 * `WindowLedger`, one {sender: delay} slot per cycle over the trailing
   second, its means summed with `math.fsum` as the ledger specifies;
 * the noise as `rng.randint(-a, a)`, the perceived count clipped at 0;
@@ -168,6 +168,16 @@ def play_baseline(current, evals, c):
     return (None if best is current else best), c
 
 
+def reference_sample_link(p, curve, rng, gen_time):
+    """The draws, floor and written delay sample_link must match, spelled with
+    rng.uniform and max: (delivered, reception time minus generation time)."""
+    delay, plr, jitter = curve
+    if rng.random() < plr:
+        return False, None
+    reception_time = gen_time + max(delay + rng.uniform(-jitter, jitter), p.d0)
+    return True, reception_time - gen_time
+
+
 class WindowLedger:
     """Reference model: one {sender: delay} slot per cycle over the trailing
     second, each window's senders taken as the union of its slots."""
@@ -217,14 +227,13 @@ def reference_run(cfg: ScenarioConfig) -> list[CycleRecord]:
             for ledger in ledgers:
                 ledger.begin_cycle()
             for sender, net in enumerate(attachment):
-                profile = cfg.profiles[net]
-                delay, plr, jitter = curves[net]
                 for receiver, rng in enumerate(rngs):
-                    if receiver == sender or rng.random() < plr:
+                    if receiver == sender:
                         continue
-                    observed = max(delay + rng.uniform(-jitter, jitter), profile.d0)
-                    reception_time = gen_time + observed
-                    ledgers[receiver].record_reception(net, sender, reception_time - gen_time)
+                    delivered, delay = reference_sample_link(cfg.profiles[net], curves[net],
+                                                             rng, gen_time)
+                    if delivered:
+                        ledgers[receiver].record_reception(net, sender, delay)
 
         before = list(attachment)
         handoffs = 0

@@ -1,12 +1,14 @@
 import errno
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import hetsim
 from hetsim.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -145,21 +147,31 @@ def test_duplicate_key_refused(tmp_path, monkeypatch, capsys, field, first):
 
 
 def test_every_non_finite_value_named(tmp_path, monkeypatch, capsys):
-    # The loader reads shape only, so a file's NaN, infinity and over-range int
-    # are each named by validation, as in a config built in code.
-    def corrupt(d):
+    # The loader reads shape only, so a file's NaN, infinity and over-range int,
+    # and a leaf of the wrong type, are each named by validation, as in a
+    # config built in code.
+    def non_finite(d):
         d["strategy"].update(rho=float("nan"), sigma=10**400)
         d["profiles"]["lte"]["a"] = float("inf")
-    path = mutated_scenario(tmp_path, "bad.json", corrupt)
-    expected = ["strategy.rho must be finite, got nan", "strategy.sigma must be finite, got inf",
-                "profiles.lte.a must be finite, got inf"]
+
+    def wrong_type(d):
+        d["noise_amplitude"] = 2.0
+        d["strategy"]["rho"] = "0.5"
+
+    cases = [(non_finite, ["strategy.rho must be finite, got nan",
+                           "strategy.sigma must be finite, got inf",
+                           "profiles.lte.a must be finite, got inf"]),
+             (wrong_type, ["strategy.rho must be a number, got '0.5'",
+                           "noise_amplitude must be an integer, got 2.0"])]
     monkeypatch.chdir(tmp_path)
-    for command in ("validate", "run", "compare", "oracle", "calibrate"):
-        assert main([command, path]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "invalid scenario:\n" + "".join(f"  - {v}\n" for v in expected)
-    assert [p.name for p in tmp_path.iterdir()] == ["bad.json"]
+    for corrupt, expected in cases:
+        path = mutated_scenario(tmp_path, f"{corrupt.__name__}.json", corrupt)
+        for command in ("validate", "run", "compare", "oracle", "calibrate"):
+            assert main([command, path]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "invalid scenario:\n" + "".join(f"  - {v}\n" for v in expected)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["non_finite.json", "wrong_type.json"]
 
 
 def test_unknown_flag_rejected():
@@ -198,9 +210,11 @@ def test_closed_stdout_exits_2_without_traceback(tmp_path):
     read_end, write_end = os.pipe()
     os.close(read_end)
     out = tmp_path / "o.csv"
+    # The child imports the package this suite imported, installed or not.
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+        filter(None, [str(Path(hetsim.__file__).resolve().parent.parent),
+                      env.get("PYTHONPATH")]))
     try:
         proc = subprocess.run(
             [sys.executable, "-m", "hetsim.cli", "run", STEP, "--mode", "direct",
@@ -252,8 +266,11 @@ def test_compare_writes_both_and_reports(tmp_path, capsys):
     game = tmp_path / "cmp_game.csv"
     baseline = tmp_path / "cmp_baseline_mcdm.csv"
     assert game.exists() and baseline.exists()
-    printed = capsys.readouterr().out
-    assert "handoff rate ratio" in printed
+    # The two "wrote" lines, then the comparison opens with its ratio, finite or inf.
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[:2] == [f"wrote {game}", f"wrote {baseline}"]
+    assert re.fullmatch(r"handoff rate ratio \(game/baseline\): ([0-9]+\.[0-9]{4}|inf)",
+                        printed[2])
 
     def total_handoffs(path):
         lines = path.read_text().splitlines()
