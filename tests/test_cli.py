@@ -85,13 +85,6 @@ def test_removed_scoring_key_refused(tmp_path, capsys, key):
     assert key in capsys.readouterr().err
 
 
-def test_run_unwritable_output_exits_2(tmp_path, capsys):
-    out = tmp_path / "no_dir" / "x.csv"
-    code = main(["run", STEP, "--num-cycles", "5", "-o", str(out)])
-    assert code == 2
-    assert "x.csv" in capsys.readouterr().err
-
-
 def test_run_strategy_override_changes_csv(tmp_path):
     game, baseline = tmp_path / "game.csv", tmp_path / "baseline.csv"
     args = ["run", STEP, "--mode", "direct", "--num-cycles", "30"]
@@ -183,25 +176,13 @@ def test_unknown_flag_rejected():
 @pytest.mark.parametrize("flag", ["--convergence-threshold", "--convergence-window"])
 @pytest.mark.parametrize("command", ["run", "compare", "oracle"])
 def test_convergence_flags_rejected(tmp_path, monkeypatch, capsys, command, flag):
-    # The convergence rule is fixed: the flags are refused even at their old defaults.
+    # The convergence rule is fixed: the flags are unknown options, so their value is never read.
     monkeypatch.chdir(tmp_path)
     mode = [] if command == "oracle" else ["--mode", "direct"]  # oracle takes no --mode
     with pytest.raises(SystemExit) as exc:
         main([command, STEP, *mode, "--num-cycles", "3", flag, "20"])
     assert exc.value.code == 2
     assert capsys.readouterr().out == ""
-    assert list(tmp_path.iterdir()) == []
-
-
-@pytest.mark.parametrize("command", ["run", "compare"])
-@pytest.mark.parametrize("window", ["0", "-1"])
-def test_convergence_window_below_one_rejected(tmp_path, command, window):
-    # Once a range error, now an unknown option: either way exit 2 and no output file.
-    out = tmp_path / "o.csv"
-    with pytest.raises(SystemExit) as exc:
-        main([command, STEP, "--mode", "direct", "--num-cycles", "3",
-              "-o", str(out), "--convergence-window", window])
-    assert exc.value.code == 2
     assert list(tmp_path.iterdir()) == []
 
 
@@ -387,11 +368,6 @@ def test_unwritable_output_refused_before_the_run(tmp_path, monkeypatch, capsys,
     assert captured.out == ""
     assert captured.err.splitlines() == [error]
     assert tree() == before
-
-
-def test_compare_missing_output_dir_exits_2(tmp_path):
-    out = tmp_path / "ghost" / "cmp.csv"
-    assert main(["compare", STEP, "--num-cycles", "5", "-o", str(out)]) == 2
 
 
 @pytest.mark.parametrize("args", [

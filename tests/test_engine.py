@@ -55,24 +55,16 @@ def test_initial_state_matches_assignment():
     assert state.cycle == 0
 
 
-def test_conservation_every_cycle():
-    cfg = step_cfg(num_cycles=40, measurement_mode=MeasurementMode.DIRECT)
-    for records in (run_scenario(cfg),
-                    run_scenario(dataclasses.replace(
-                        cfg, strategy_kind=StrategyKind.BASELINE_MCDM))):
-        for record in records:
-            assert sum(record.counts.values()) == 50
-
-
 def assert_counts_match_attachment(cfg):
     # The engine keeps its counts by adding up the moves; a recount of the
-    # attachment after every cycle sees a move the sum check cannot (one that
-    # updates the wrong network, or none).
+    # attachment after every cycle sees a move a sum check cannot (one that
+    # updates the wrong network, or none), and the sum shows no terminal lost.
     state = init_state(cfg)
     handoffs = 0
     for _ in range(cfg.num_cycles):
         state, record = run_cycle(state, cfg)
         recount = {net: state.attachment.count(net) for net in ALL_NETWORKS}
+        assert sum(recount.values()) == cfg.total_terminals
         assert state.counts == recount
         assert record.counts == recount
         handoffs += record.handoffs
@@ -462,44 +454,6 @@ def test_disturbed_run_leaves_no_penalty_for_the_next():
 
 # --- equilibrium oracle -------------------------------------------------------
 
-def test_predict_shift_symmetric_linear():
-    f = lambda n: 1 - 0.01 * n
-    assert predict_equilibrium_shift(f, f, 30, 20, 0.08) == 4
-
-
-def test_predict_shift_zero_disturbance():
-    f = lambda n: 1 - 0.01 * n
-    assert predict_equilibrium_shift(f, f, 30, 20, 0.0) == 0
-
-
-def test_predict_shift_asymmetric_linear():
-    f_a = lambda n: 1 - 0.02 * n
-    f_b = lambda n: 1 - 0.01 * n
-    assert predict_equilibrium_shift(f_a, f_b, 30, 20, 0.09) == 3
-
-
-@pytest.mark.parametrize("g, h, named", [(-1, 20, "g=-1,"), (30, -1, "h=-1")])
-def test_predict_shift_rejects_negative_population(g, h, named):
-    f = lambda n: 1 - 0.01 * n
-    with pytest.raises(ValueError, match=named):
-        predict_equilibrium_shift(f, f, g, h, 0.08)
-
-
-def test_predict_shift_minimizes_residual():
-    rng = random.Random(11)
-    for _ in range(50):
-        sa, sb = rng.uniform(0.001, 0.05), rng.uniform(0.001, 0.05)
-        g, h = rng.randrange(5, 60), rng.randrange(0, 40)
-        delta = rng.uniform(0, 1.0)
-        f_a = lambda n: 2 - sa * n
-        f_b = lambda n: 2 - sb * n
-        s = predict_equilibrium_shift(f_a, f_b, g, h, delta)
-        def residual(k):
-            return abs(f_a(g - k) - f_a(g) + f_b(h) - f_b(h + k) - delta)
-        best = min(range(g + 1), key=lambda k: (residual(k), k))
-        assert s == best
-
-
 def test_predicted_shift_matches_game_simulation():
     cfg = load_scenario(SCENARIOS / "linear_delta_e.json")
     f_a = lambda n: ground_truth_eval(cfg.profiles[NetworkKind.WIFI], n)
@@ -597,14 +551,6 @@ def test_baseline_one_step_flow_matches_closed_form(name):
     assignment, counter = ORACLE_STATES[name]
     cfg = oracle_cfg(assignment, StrategyKind.BASELINE_MCDM)
     assert one_cycle_counts(cfg, counter, 42) == expected_next_counts(cfg, counter)
-
-
-def test_noise_scenario_conserves_terminals():
-    cfg = load_scenario(SCENARIOS / "table2_disturbance.json")
-    cfg = dataclasses.replace(cfg, num_cycles=60,
-                              measurement_mode=MeasurementMode.DIRECT)
-    for record in run_scenario(cfg):
-        assert sum(record.counts.values()) == 50
 
 
 @pytest.mark.parametrize("n_dsrc", [20, 2], ids=["unclipped", "clipped"])

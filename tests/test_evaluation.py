@@ -18,6 +18,7 @@ from hetsim.evaluation import (
     best_network,
     evaluate_network,
     meets_requirements,
+    predict_equilibrium_shift,
     select_best,
 )
 from hetsim.netmodel import NetworkProfile, perf_at
@@ -213,3 +214,43 @@ def test_penalty_can_flip_requirements():
     metrics = perf_at(profile, 10)
     assert evaluate_network(metrics).meets_requirements
     assert not evaluate_network(metrics, penalty=0.05).meets_requirements
+
+
+# --- equilibrium oracle -------------------------------------------------------
+
+def test_predict_shift_symmetric_linear():
+    f = lambda n: 1 - 0.01 * n
+    assert predict_equilibrium_shift(f, f, 30, 20, 0.08) == 4
+
+
+def test_predict_shift_zero_disturbance():
+    f = lambda n: 1 - 0.01 * n
+    assert predict_equilibrium_shift(f, f, 30, 20, 0.0) == 0
+
+
+def test_predict_shift_asymmetric_linear():
+    f_a = lambda n: 1 - 0.02 * n
+    f_b = lambda n: 1 - 0.01 * n
+    assert predict_equilibrium_shift(f_a, f_b, 30, 20, 0.09) == 3
+
+
+@pytest.mark.parametrize("g, h, named", [(-1, 20, "g=-1,"), (30, -1, "h=-1")])
+def test_predict_shift_rejects_negative_population(g, h, named):
+    f = lambda n: 1 - 0.01 * n
+    with pytest.raises(ValueError, match=named):
+        predict_equilibrium_shift(f, f, g, h, 0.08)
+
+
+def test_predict_shift_minimizes_residual():
+    rng = random.Random(11)
+    for _ in range(50):
+        sa, sb = rng.uniform(0.001, 0.05), rng.uniform(0.001, 0.05)
+        g, h = rng.randrange(5, 60), rng.randrange(0, 40)
+        delta = rng.uniform(0, 1.0)
+        f_a = lambda n: 2 - sa * n
+        f_b = lambda n: 2 - sb * n
+        s = predict_equilibrium_shift(f_a, f_b, g, h, delta)
+        def residual(k):
+            return abs(f_a(g - k) - f_a(g) + f_b(h) - f_b(h + k) - delta)
+        best = min(range(g + 1), key=lambda k: (residual(k), k))
+        assert s == best

@@ -14,10 +14,14 @@ stray import fails here even where that package happens to be installed.
 `tests/reference.py` writes the scoring and the decision rules itself, so
 it imports nothing from `hetsim.evaluation` or `hetsim.strategy`: reference
 equality could not see a fault in a rule the reference borrowed.
+
+`pyproject.toml` makes a deprecation warned from any `hetsim` module an
+error; a lost or mistyped policy fails here, on every Python.
 """
 
 import ast
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -115,3 +119,9 @@ def test_checker_sees_every_form_of_a_rule_import():
 def test_reference_states_the_rules_itself():
     assert imports_from((TESTS / "reference.py").read_text(encoding="utf-8"),
                         RULE_MODULES) == []
+
+
+def test_hetsim_deprecations_are_errors():
+    for category in (DeprecationWarning, PendingDeprecationWarning):
+        with pytest.raises(category):
+            warnings.warn_explicit("old", category, "engine.py", 1, module="hetsim.engine")

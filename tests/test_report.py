@@ -160,15 +160,6 @@ def test_cycle_record_fields_keywords_and_immutability():
     assert by_keyword.handoffs == 4
 
 
-def test_csv_byte_identical_for_identical_run(tmp_path):
-    cfg = dataclasses.replace(load_scenario(SCENARIOS / "table2_step.json"),
-                              num_cycles=25)
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    write_csv(run_scenario(cfg), a)
-    write_csv(run_scenario(cfg), b)
-    assert a.read_bytes() == b.read_bytes()
-
-
 def test_csv_round_trip_six_decimals(tmp_path):
     cfg = dataclasses.replace(load_scenario(SCENARIOS / "table2_step.json"),
                               num_cycles=10)
